@@ -142,8 +142,8 @@ def _run_solver(name: str, P: SparseStochasticMatrix, spec: UncertaintySpec, arg
         return solvers.pagerank(P, args.alpha, args.tol, args.max_iter, spec)
     if name in ("power-avg", "nominal"):
         x = solvers.dominant_eigenvector(P, args.tol)
-        return SolveReport(x, [(0, phi(P, x, spec).total)], 0,
-                           solvers.STOP_TOLERANCE, phi(P, x, spec))
+        value = phi(P, x, spec)
+        return SolveReport(x, [(0, value.total)], 0, solvers.STOP_TOLERANCE, value)
     if name == "algorithm1":
         return solvers.regularized_power_method(P, spec, max_iter=args.max_iter)
     if name == "robust-exact":

@@ -76,6 +76,8 @@ class SparseStochasticMatrix:
             raise InputError(f"matrix must be square, got {links.shape}")
         self.n = n
         self._links = links
+        # CSR view of the transpose: shares the data, index and pointer arrays
+        self._links_t = links.T
         self.dangling_columns = frozenset(int(j) for j in dangling_columns)
         self._dangling_mask = np.zeros(n, dtype=bool)
         for j in self.dangling_columns:
@@ -101,9 +103,8 @@ class SparseStochasticMatrix:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise InputError(f"vector has shape {v.shape}, expected ({self.n},)")
-        y = self._links.T @ v
+        y = self._links_t @ v
         if self.dangling_columns:
-            y = y.copy()
             y[self._dangling_mask] += v.sum() / self.n
         return y
 

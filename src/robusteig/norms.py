@@ -12,6 +12,12 @@ characterizations drive both evaluation and subgradients:
     g2(x) = max { z.x : ||z||_2 <= 1, |z_j| <= c_j }
 
 and any optimizing z is a subgradient.
+
+:class:`Objective` is the one place where phi and its subgradient are
+computed.  Built once per (P, spec), it caches the weights c; one evaluation
+costs one P.matvec and one penalty evaluation, plus one P.rmatvec when the
+subgradient is asked for.  phi, phi_value and subgradient_phi are thin calls
+into it, and the solvers hold one for the length of a solve.
 """
 
 from __future__ import annotations
@@ -140,24 +146,25 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
     breakpoints = a_s / c_s
     order = np.argsort(breakpoints, kind="stable")
     a_o, c_o, bp_o = a_s[order], c_s[order], breakpoints[order]
-    m = a_o.size
     cum_a2 = np.concatenate(([0.0], np.cumsum(a_o ** 2)))                    # uncapped mass
     cum_c2_rev = np.concatenate((np.cumsum((c_o ** 2)[::-1])[::-1], [0.0]))  # capped mass
     cum_ca_rev = np.concatenate((np.cumsum((c_o * a_o)[::-1])[::-1], [0.0]))
-    for k in range(m, -1, -1):
-        capped_c2 = cum_c2_rev[k]
-        uncapped_a2 = cum_a2[k]
-        if capped_c2 >= 1.0 or uncapped_a2 == 0.0:
-            continue
-        rho = float(np.sqrt(uncapped_a2 / (1.0 - capped_c2)))
-        lo = bp_o[k - 1] if k >= 1 else 0.0
-        hi = bp_o[k] if k < m else np.inf
-        if lo * (1.0 - 1e-12) <= rho <= hi * (1.0 + 1e-12) + 1e-300:
-            value = float(cum_ca_rev[k] + uncapped_a2 / rho)
-            z_sup = np.minimum(a_s / rho, c_s) * np.sign(x[support])
-            z[support] = z_sup
-            return value, z
-    raise RuntimeError("g2 breakpoint scan found no consistent interval")  # pragma: no cover
+    # entry k: the k smallest breakpoints uncapped, the rest at the box; the
+    # answer is the largest k whose rho falls inside its own interval
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.sqrt(cum_a2 / (1.0 - cum_c2_rev))
+    lo = np.concatenate(([0.0], bp_o))
+    hi = np.concatenate((bp_o, [np.inf]))
+    consistent = ((cum_c2_rev < 1.0) & (cum_a2 != 0.0)
+                  & (lo * (1.0 - 1e-12) <= rho) & (rho <= hi * (1.0 + 1e-12) + 1e-300))
+    ks = np.flatnonzero(consistent)
+    if not ks.size:
+        raise RuntimeError("g2 breakpoint scan found no consistent interval")  # pragma: no cover
+    k = ks[-1]
+    r = float(rho[k])
+    value = float(cum_ca_rev[k] + cum_a2[k] / r)
+    z[support] = np.minimum(a_s / r, c_s) * np.sign(x[support])
+    return value, z
 
 
 def g1(x: np.ndarray, c: np.ndarray) -> float:
@@ -222,33 +229,60 @@ def g_oracle(x: np.ndarray, c: np.ndarray, kind: str) -> float:
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 
-def _penalty_with_dual(x: np.ndarray, spec: UncertaintySpec) -> tuple[float, np.ndarray]:
-    """Penalty-norm value and a subgradient of it at x."""
-    x = np.asarray(x, dtype=float)
-    if spec.pair is NormPair.L2_L2:
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            return 0.0, np.zeros_like(x)
-        return nx, x / nx
-    c = spec.weights(x.size)
-    if spec.pair is NormPair.L1_G1:
-        return _g1_with_dual(x, c)
-    return _g2_with_dual(x, c)
+class Objective:
+    """phi(x) = ||P x - x|| + eps g(x) and one subgradient, for one (P, spec).
+
+    Residual part of the subgradient: (P - I)^T sign(Px - x) for the l1 norm,
+    or (P - I)^T (Px - x)/||Px - x||_2 for l2 (zero when Px = x).  Penalty
+    part: eps times the optimizing dual vector of the penalty norm.
+    """
+
+    def __init__(self, P: SparseStochasticMatrix, spec: UncertaintySpec):
+        self.P = P
+        self.spec = spec
+        self._l1_residual = spec.pair.residual_norm == "l1"
+        self._weights = None if spec.pair is NormPair.L2_L2 else spec.weights(P.n)
+
+    def _penalty_with_dual(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Penalty-norm value and a subgradient of it at x."""
+        if self._weights is None:
+            nx = float(np.linalg.norm(x))
+            if nx == 0.0:
+                return 0.0, np.zeros_like(x)
+            return nx, x / nx
+        if self.spec.pair is NormPair.L1_G1:
+            return _g1_with_dual(x, self._weights)
+        return _g2_with_dual(x, self._weights)
+
+    def evaluate(self, x: np.ndarray, with_subgradient: bool = False
+                 ) -> tuple[ObjectiveValue, np.ndarray | None]:
+        """phi at x, and a subgradient there when asked (else None)."""
+        P, eps = self.P, self.spec.epsilon
+        x = np.asarray(x, dtype=float)
+        r = P.matvec(x) - x             # rejects a vector of the wrong shape
+        if self._l1_residual:
+            residual_term = float(np.abs(r).sum())
+        else:
+            residual_term = float(np.linalg.norm(r))
+        penalty_value, g_pen = self._penalty_with_dual(x)
+        penalty_term = eps * penalty_value
+        value = ObjectiveValue(residual_term, penalty_term, residual_term + penalty_term)
+        if not with_subgradient:
+            return value, None
+        if self._l1_residual:
+            s = np.sign(r)
+            g_res = P.rmatvec(s) - s
+        elif residual_term == 0.0:
+            g_res = np.zeros_like(x)
+        else:
+            u = r / residual_term
+            g_res = P.rmatvec(u) - u
+        return value, g_res + eps * g_pen
 
 
 def phi(P: SparseStochasticMatrix, x: np.ndarray, spec: UncertaintySpec) -> ObjectiveValue:
     """Robust objective: residual norm of P x - x plus eps times the penalty."""
-    x = check_score_vector(x)
-    if x.size != P.n:
-        raise ValueError(f"vector has size {x.size}, matrix has n={P.n}")
-    r = P.matvec(x) - x
-    if spec.pair.residual_norm == "l1":
-        residual_term = float(np.abs(r).sum())
-    else:
-        residual_term = float(np.linalg.norm(r))
-    penalty_value, _ = _penalty_with_dual(x, spec)
-    penalty_term = spec.epsilon * penalty_value
-    return ObjectiveValue(residual_term, penalty_term, residual_term + penalty_term)
+    return Objective(P, spec).evaluate(check_score_vector(x))[0]
 
 
 def phi_value(P: SparseStochasticMatrix, x: np.ndarray, spec: UncertaintySpec) -> float:
@@ -256,25 +290,5 @@ def phi_value(P: SparseStochasticMatrix, x: np.ndarray, spec: UncertaintySpec) -
 
 
 def subgradient_phi(P: SparseStochasticMatrix, x: np.ndarray, spec: UncertaintySpec) -> np.ndarray:
-    """One valid subgradient of phi at x.
-
-    Residual part: (P - I)^T sign(Px - x) for the l1 norm, or
-    (P - I)^T (Px - x)/||Px - x||_2 for l2 (zero when Px = x).  Penalty part:
-    eps times the optimizing dual vector of the penalty norm.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.size != P.n:
-        raise ValueError(f"vector has size {x.size}, matrix has n={P.n}")
-    r = P.matvec(x) - x
-    if spec.pair.residual_norm == "l1":
-        s = np.sign(r)
-        g_res = P.rmatvec(s) - s
-    else:
-        nr = float(np.linalg.norm(r))
-        if nr == 0.0:
-            g_res = np.zeros_like(x)
-        else:
-            u = r / nr
-            g_res = P.rmatvec(u) - u
-    _, g_pen = _penalty_with_dual(x, spec)
-    return g_res + spec.epsilon * g_pen
+    """One valid subgradient of phi at x (see :class:`Objective`)."""
+    return Objective(P, spec).evaluate(x, with_subgradient=True)[1]

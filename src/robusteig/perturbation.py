@@ -230,7 +230,7 @@ def sample_perturbation(P: SparseStochasticMatrix, spec: UncertaintySpec,
     col_sums = xi.sum(axis=0)
     stochastic_ok = None
     if set_name == "xif":
-        stochastic_ok = bool((P.to_dense() + xi).min() >= -FEASIBILITY_TOL
+        stochastic_ok = bool((dense + xi).min() >= -FEASIBILITY_TOL
                              and np.abs(col_sums).max() <= FEASIBILITY_TOL)
     return PerturbationSample(
         xi=xi,

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_matrix import SparseStochasticMatrix, uniform_vector
-from .norms import (NormPair, ObjectiveValue, UncertaintySpec, g2, phi,
-                    phi_value, subgradient_phi)
+from .graph_matrix import (SparseStochasticMatrix, check_score_vector,
+                           uniform_vector)
+from .norms import NormPair, Objective, ObjectiveValue, UncertaintySpec, g2
 
 STOP_PHI_INCREASE = "phi_increase"
 STOP_MAX_ITER = "max_iter"
@@ -36,7 +36,8 @@ class SolveReport:
 
     phi_history holds (iteration, objective value) pairs; iteration 0 is the
     starting point.  For the phi_increase stop the final iterate is the one
-    preceding the first recorded increase.
+    preceding the first recorded increase.  pagerank records only the start
+    and the final iterate; mirror descent records each new best iterate.
     """
 
     final: np.ndarray
@@ -79,11 +80,11 @@ def pagerank(P: SparseStochasticMatrix, alpha: float = 0.85, tol: float = 1e-10,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    spec = spec or _DEFAULT_SPEC
-    n = P.n
-    e = uniform_vector(n)
+    objective = Objective(P, spec or _DEFAULT_SPEC)
+    e = uniform_vector(P.n)
     x = e.copy()
-    history = [(0, phi_value(P, x, spec))]
+    value, _ = objective.evaluate(x)
+    history = [(0, value.total)]
     stop_reason = STOP_MAX_ITER
     iterations = 0
     for k in range(1, max_iter + 1):
@@ -91,11 +92,13 @@ def pagerank(P: SparseStochasticMatrix, alpha: float = 0.85, tol: float = 1e-10,
         delta = float(np.abs(x_next - x).sum())
         x = x_next
         iterations = k
-        history.append((k, phi_value(P, x, spec)))
         if delta <= tol:
             stop_reason = STOP_TOLERANCE
             break
-    return SolveReport(x, history, iterations, stop_reason, phi(P, x, spec))
+    if iterations:
+        value, _ = objective.evaluate(x)
+        history.append((iterations, value.total))
+    return SolveReport(x, history, iterations, stop_reason, value)
 
 
 def _cesaro_pair_doubling(dense: np.ndarray, K: int) -> np.ndarray:
@@ -171,20 +174,20 @@ def regularized_power_method(P: SparseStochasticMatrix, spec: UncertaintySpec,
     phi(x_k) > phi(x_{k-1}) + stall_tol and returns x_{k-1}; plateaus continue
     until max_iter.
     """
+    objective = Objective(P, spec)
     e = uniform_vector(P.n)
     x_prev = e.copy()
-    phi_prev = phi_value(P, x_prev, spec)
-    history = [(0, phi_prev)]
+    value_prev, _ = objective.evaluate(x_prev)
+    history = [(0, value_prev.total)]
     for k in range(1, max_iter + 1):
         w = 1.0 / (k + 1)
         x = (1.0 - w) * P.matvec(x_prev) + w * e
-        phi_k = phi_value(P, x, spec)
-        history.append((k, phi_k))
-        if phi_k > phi_prev + stall_tol:
-            return SolveReport(x_prev, history, k, STOP_PHI_INCREASE,
-                               phi(P, x_prev, spec))
-        x_prev, phi_prev = x, phi_k
-    return SolveReport(x_prev, history, max_iter, STOP_MAX_ITER, phi(P, x_prev, spec))
+        value, _ = objective.evaluate(x)
+        history.append((k, value.total))
+        if value.total > value_prev.total + stall_tol:
+            return SolveReport(x_prev, history, k, STOP_PHI_INCREASE, value_prev)
+        x_prev, value_prev = x, value
+    return SolveReport(x_prev, history, max_iter, STOP_MAX_ITER, value_prev)
 
 
 def _entropic_step(x: np.ndarray, g: np.ndarray, step: float) -> np.ndarray:
@@ -199,10 +202,12 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
                             x0: np.ndarray | None = None) -> SolveReport:
     """Minimize phi over the simplex by entropic mirror descent.
 
-    Multiplicative updates x <- normalize(x * exp(-gamma_k g_k)) with
-    g_k = subgradient_phi and steps scaled by 1/||g_k||_inf, tracking the best
-    iterate seen.  The default "geometric" policy runs epochs of constant
-    step, halving the step and restarting from the best iterate each epoch,
+    Multiplicative updates x <- normalize(x * exp(-gamma_k g_k)) with g_k a
+    subgradient of phi at x_k and steps scaled by 1/||g_k||_inf, tracking the
+    best iterate seen.  Each step evaluates phi and its subgradient at the new
+    iterate in one pass, so it costs one matvec and one rmatvec.  The default
+    "geometric" policy runs epochs of constant step, halving the step and
+    restarting from the best iterate (and its stored subgradient) each epoch,
     which drives the nonsmooth objective to solver-level accuracy; "sqrt_k"
     is the classical gamma0/sqrt(k) decay.
 
@@ -213,44 +218,45 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
     config = config or SolverConfig()
     if x0 is None:
         x0 = regularized_power_method(P, spec, max_iter=config.max_iter).final
-    x = np.asarray(x0, dtype=float).copy()
-    best_x = x.copy()
-    best_phi = phi_value(P, x, spec)
-    # the uniform point is free to evaluate and never worse than untried
-    e_phi = phi_value(P, uniform_vector(P.n), spec)
-    if e_phi < best_phi:
-        best_x, best_phi = uniform_vector(P.n), e_phi
-    history = [(0, best_phi)]
+    objective = Objective(P, spec)
+    x = check_score_vector(x0).copy()
+    best_value, g = objective.evaluate(x, with_subgradient=True)
+    best_x, best_g = x.copy(), g
+    # the uniform point is cheap to evaluate and never worse than untried
+    e = uniform_vector(P.n)
+    e_value, e_g = objective.evaluate(e, with_subgradient=True)
+    if e_value.total < best_value.total:
+        best_x, best_value, best_g = e, e_value, e_g
+    history = [(0, best_value.total)]
     iterations = 0
 
-    def advance(x, step_scale):
-        nonlocal best_x, best_phi, iterations
-        g = subgradient_phi(P, x, spec)
+    def advance(x, g, step_scale):
+        """One step from x along its subgradient g; (None, None) if g = 0."""
+        nonlocal best_x, best_value, best_g, iterations
         g_inf = float(np.abs(g).max())
         if g_inf == 0.0:
-            return None
+            return None, None
         x = _entropic_step(x, g, step_scale / g_inf)
         iterations += 1
-        value = phi_value(P, x, spec)
-        if value < best_phi:
-            best_phi = value
-            best_x = x.copy()
-            history.append((iterations, value))
-        return x
+        value, g = objective.evaluate(x, with_subgradient=True)
+        if value.total < best_value.total:
+            best_x, best_value, best_g = x.copy(), value, g
+            history.append((iterations, value.total))
+        return x, g
 
     stationary = False
     if config.step_policy == "sqrt_k":
         for k in range(1, config.max_iter + 1):
-            x = advance(x, config.gamma0 / math.sqrt(k))
+            x, g = advance(x, g, config.gamma0 / math.sqrt(k))
             if x is None:
                 stationary = True
                 break
     else:
         gamma = config.gamma0
         for _ in range(config.md_epochs):
-            x = best_x.copy()
+            x, g = best_x.copy(), best_g
             for _ in range(config.md_iters_per_epoch):
-                x = advance(x, gamma)
+                x, g = advance(x, g, gamma)
                 if x is None:
                     stationary = True
                     break
@@ -258,8 +264,7 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
                 break
             gamma /= 2.0
     stop_reason = STOP_TOLERANCE if stationary else STOP_MAX_ITER
-    return SolveReport(best_x, history, iterations, stop_reason,
-                       phi(P, best_x, spec))
+    return SolveReport(best_x, history, iterations, stop_reason, best_value)
 
 
 def _simplex_lattice_blocks(n: int, m: int, block_rows: int = 200_000):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from robusteig import (NormPair, SparseStochasticMatrix, UncertaintySpec, g1,
                        g2, g_oracle, phi, phi_value, subgradient_phi,
                        uniform_vector)
+from robusteig.norms import _g2_with_dual
 
 from conftest import SEVEN_NODE_XBAR, random_stochastic_dense
 
@@ -15,6 +16,43 @@ def _random_case(rng, n_max=8):
     x = rng.standard_normal(n) * float(rng.choice([0.1, 1.0, 10.0]))
     c = rng.uniform(0.02, 2.0, n)
     return x, c
+
+
+def _tied_case(rng, n_max=8):
+    """Integer x over a few weights, so that breakpoints |x_j| / c_j repeat."""
+    n = int(rng.integers(2, n_max + 1))
+    x = rng.integers(-3, 4, n).astype(float)
+    c = rng.choice([0.25, 0.5, 1.0], n)
+    return x, c
+
+
+def _g2_scan_loop(x, c):
+    """_g2_with_dual with its breakpoint scan as a loop from k = m down to 0."""
+    a = np.abs(x)
+    z = np.zeros_like(a)
+    support = a > 0
+    if not support.any():
+        return 0.0, z
+    if float(np.sum(c[support] ** 2)) <= 1.0:
+        z[support] = np.sign(x[support]) * c[support]
+        return float(np.sum(c[support] * a[support])), z
+    a_s, c_s = a[support], c[support]
+    order = np.argsort(a_s / c_s, kind="stable")
+    a_o, c_o, bp_o = a_s[order], c_s[order], (a_s / c_s)[order]
+    m = a_o.size
+    cum_a2 = np.concatenate(([0.0], np.cumsum(a_o ** 2)))
+    cum_c2_rev = np.concatenate((np.cumsum((c_o ** 2)[::-1])[::-1], [0.0]))
+    cum_ca_rev = np.concatenate((np.cumsum((c_o * a_o)[::-1])[::-1], [0.0]))
+    for k in range(m, -1, -1):
+        if cum_c2_rev[k] >= 1.0 or cum_a2[k] == 0.0:
+            continue
+        rho = float(np.sqrt(cum_a2[k] / (1.0 - cum_c2_rev[k])))
+        lo = bp_o[k - 1] if k >= 1 else 0.0
+        hi = bp_o[k] if k < m else np.inf
+        if lo * (1.0 - 1e-12) <= rho <= hi * (1.0 + 1e-12) + 1e-300:
+            z[support] = np.minimum(a_s / rho, c_s) * np.sign(x[support])
+            return float(cum_ca_rev[k] + cum_a2[k] / rho), z
+    raise RuntimeError("no consistent interval")
 
 
 class TestG1:
@@ -86,10 +124,21 @@ class TestOracles:
 
     def test_oracle_equivalence_sweep(self):
         rng = np.random.default_rng(4)
-        for _ in range(300):
-            x, c = _random_case(rng)
-            assert abs(g1(x, c) - g_oracle(x, c, "g1")) <= 1e-9
-            assert abs(g2(x, c) - g_oracle(x, c, "g2")) <= 1e-8
+        for case in (_random_case, _tied_case):
+            for _ in range(300):
+                x, c = case(rng)
+                assert abs(g1(x, c) - g_oracle(x, c, "g1")) <= 1e-9
+                assert abs(g2(x, c) - g_oracle(x, c, "g2")) <= 1e-8
+
+    def test_g2_scan_matches_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for case in (_random_case, _tied_case):
+            for _ in range(500):
+                x, c = case(rng)
+                value, z = _g2_with_dual(x, c)
+                want_value, want_z = _g2_scan_loop(x, c)
+                assert value == want_value
+                assert z.tobytes() == want_z.tobytes()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

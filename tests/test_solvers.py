@@ -10,7 +10,7 @@ from robusteig import (NormPair, SolverConfig, SparseStochasticMatrix,
 from robusteig.models import GridModelSpec, ModelVariant
 from robusteig.solvers import STOP_MAX_ITER, STOP_PHI_INCREASE, STOP_TOLERANCE
 
-from conftest import SEVEN_NODE_XBAR, random_stochastic_dense
+from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, random_stochastic_dense
 
 L2L2 = UncertaintySpec(1.0, NormPair.L2_L2)
 
@@ -197,6 +197,23 @@ class TestMirrorDescent:
         config = SolverConfig(step_policy="sqrt_k", max_iter=2000)
         report = mirror_descent_minimize(seven_node, L2L2, config)
         assert report.objective.total < phi_value(seven_node, uniform_vector(7), L2L2)
+
+    @pytest.mark.parametrize("pair", list(NormPair))
+    def test_one_matvec_and_one_rmatvec_per_step(self, pair):
+        P = from_edge_list(edge_list(SEVEN_NODE_EDGES, 7))
+        counts = {"matvec": 0, "rmatvec": 0}
+        for name in counts:
+            def counted(v, name=name, method=getattr(P, name)):
+                counts[name] += 1
+                return method(v)
+            setattr(P, name, counted)
+        spec = UncertaintySpec(1.0, pair, column_budgets=0.5)
+        config = SolverConfig(md_epochs=3, md_iters_per_epoch=20)
+        report = mirror_descent_minimize(P, spec, config, x0=uniform_vector(7))
+        assert report.iterations_used == 60
+        setup = 4
+        assert counts["matvec"] <= report.iterations_used + setup
+        assert counts["rmatvec"] <= report.iterations_used + setup
 
     def test_works_for_all_norm_pairs(self, seven_node):
         for pair in NormPair:
