@@ -132,15 +132,13 @@ class SparseStochasticMatrix:
                 f"dangling={len(self.dangling_columns)})")
 
 
-def from_edge_list(edges: EdgeList, dangling_policy: str = "uniform_all") -> SparseStochasticMatrix:
+def from_edge_list(edges: EdgeList) -> SparseStochasticMatrix:
     """Build the column-stochastic link matrix of a directed graph.
 
     Column j holds n_j equal entries 1/n_j at the rows j links to; duplicate
     edges collapse to one link before n_j is counted.  Dangling columns are
-    repaired to uniform over all n nodes (the only supported policy).
+    repaired to uniform over all n nodes.
     """
-    if dangling_policy != "uniform_all":
-        raise InputError(f"unknown dangling policy: {dangling_policy!r}")
     n = edges.n
     unique = sorted(set(edges.edges))
     rows, cols, vals = [], [], []

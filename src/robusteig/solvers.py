@@ -23,11 +23,8 @@ STOP_TOLERANCE = "tolerance"
 # no uncertainty model: both norms Euclidean, unit budget
 _DEFAULT_SPEC = UncertaintySpec(epsilon=1.0, pair=NormPair.L2_L2)
 
-# averaged_power switches to the dense pair-doubling path when the matrix is
-# small and the term count is large; above this size the dense n^3 work and
-# n^2 memory stop paying for themselves
-_DOUBLING_MAX_N = 600
-_DOUBLING_MIN_K = 2048
+# terms in the first round of dominant_eigenvector's restarted averaging
+_FIRST_ROUND_TERMS = 64
 
 
 @dataclass
@@ -101,39 +98,23 @@ def pagerank(P: SparseStochasticMatrix, alpha: float = 0.85, tol: float = 1e-10,
     return SolveReport(x, history, iterations, stop_reason, value)
 
 
-def _cesaro_pair_doubling(dense: np.ndarray, K: int) -> np.ndarray:
-    """x_K = (1/K) sum_{j<K} P^j e computed with O(log K) dense matmuls.
+def _cesaro_round(P: SparseStochasticMatrix, x: np.ndarray,
+                  K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The average of the K terms x, Px, ..., P^{K-1} x, and its last term.
 
-    Maintains pairs (P^c, S_c) where S_c is the *average* of the first c
-    powers; both factors stay column-stochastic, so the combination
-    S_{r+c} = (r S_r + c P^r S_c) / (r + c) is numerically benign.
+    K - 1 matvecs.  One more matvec on the last term gives P^K x, and with it
+    the exact residual ||P^K x - x||_1 / K of the average.
     """
-    n = dense.shape[0]
-    pow_c = dense.copy()
-    avg_c = np.eye(n)
-    c = 1
-    pow_r: np.ndarray | None = None
-    avg_r: np.ndarray | None = None
-    r = 0
-    k = K
-    while k:
-        if k & 1:
-            if pow_r is None:
-                pow_r, avg_r, r = pow_c.copy(), avg_c.copy(), c
-            else:
-                avg_r = (r * avg_r + c * (pow_r @ avg_c)) / (r + c)
-                pow_r = pow_r @ pow_c
-                r += c
-        k >>= 1
-        if k:
-            avg_c = (avg_c + pow_c @ avg_c) / 2.0
-            pow_c = pow_c @ pow_c
-            c *= 2
-    return avg_r @ uniform_vector(n)
+    current = x
+    total = x.copy()
+    for _ in range(K - 1):
+        current = P.matvec(current)
+        total += current
+    return total / K, current
 
 
 def averaged_power(P: SparseStochasticMatrix, K: int) -> np.ndarray:
-    """Cesaro average (e + Pe + ... + P^{K-1} e) / K.
+    """Cesaro average (e + Pe + ... + P^{K-1} e) / K, for K - 1 matvecs.
 
     Satisfies ||P x_K - x_K||_1 = ||P^K e - e||_1 / K <= 2/K for every K and
     every column-stochastic P, including cyclic ones where plain power
@@ -141,25 +122,30 @@ def averaged_power(P: SparseStochasticMatrix, K: int) -> np.ndarray:
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    if P.n <= _DOUBLING_MAX_N and K > _DOUBLING_MIN_K:
-        return _cesaro_pair_doubling(P.to_dense(), K)
-    current = uniform_vector(P.n)
-    total = current.copy()
-    for _ in range(K - 1):
-        current = P.matvec(current)
-        total += current
-    return total / K
+    return _cesaro_round(P, uniform_vector(P.n), K)[0]
 
 
 def dominant_eigenvector(P: SparseStochasticMatrix, tol: float = 1e-6) -> np.ndarray:
-    """A simplex vector with ||P x - x||_1 <= tol via Cesaro averaging.
+    """A simplex vector with ||P x - x||_1 <= tol via restarted Cesaro averaging.
 
-    Uses K = ceil(2 / tol) averaged-power terms, which meets the residual
-    bound unconditionally (no spectral-gap assumption).
+    Each round averages K terms from x for K - 1 matvecs; one more, the next
+    term P^K x, gives the exact residual ||P^K x - x||_1 / K of the average,
+    which is returned once that is <= tol; otherwise the next round restarts
+    from it with K doubled, from 64 up to the cap ceil(2 / tol).  A round of
+    cap terms meets tol by the 2/K law (no spectral-gap assumption, periodic
+    chains included), so the loop always ends, after fewer than
+    3 ceil(2 / tol) matvecs.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    return averaged_power(P, math.ceil(2.0 / tol))
+    cap = math.ceil(2.0 / tol)
+    x = uniform_vector(P.n)
+    K = min(_FIRST_ROUND_TERMS, cap)
+    while True:
+        average, last = _cesaro_round(P, x, K)
+        if K == cap or np.abs(P.matvec(last) - x).sum() / K <= tol:
+            return average
+        x, K = average, min(2 * K, cap)
 
 
 def regularized_power_method(P: SparseStochasticMatrix, spec: UncertaintySpec,

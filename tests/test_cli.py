@@ -87,6 +87,14 @@ class TestRank:
         _, second = run_cli(capsys, *args)
         assert first == second
 
+    def test_nominal_default_tol_ends_and_repeats_bytes(self, capsys):
+        # the default --tol 1e-10 once meant 2e10 matvecs on this 900-node grid
+        args = ("rank", "--model", "model1", "--n", "30", "--solver", "nominal")
+        code, first = run_cli(capsys, *args)
+        assert code == 0
+        _, second = run_cli(capsys, *args)
+        assert first == second
+
 
 class TestCompare:
     def test_seven_node_nominal_vs_damped_and_robust(self, capsys, seven_node_file):

@@ -7,7 +7,7 @@ from robusteig import (NormPair, SolverConfig, SparseStochasticMatrix,
                        grid_oracle_minimize, mirror_descent_minimize,
                        pagerank, phi_value, regularized_power_method,
                        residual, suggest_epsilon, uniform_vector)
-from robusteig.models import GridModelSpec, ModelVariant
+from robusteig.models import GridModelSpec, ModelVariant, model2_exact_scores
 from robusteig.solvers import STOP_MAX_ITER, STOP_PHI_INCREASE, STOP_TOLERANCE
 
 from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, random_stochastic_dense
@@ -65,6 +65,19 @@ class TestPagerank:
             pagerank(seven_node, alpha=1.0)
 
 
+class MatvecBudget:
+    """A matrix that refuses matvecs beyond a fixed budget."""
+
+    def __init__(self, inner, budget):
+        self.inner, self.n, self.budget = inner, inner.n, budget
+
+    def matvec(self, x):
+        if self.budget == 0:
+            raise RuntimeError("matvec budget exhausted")
+        self.budget -= 1
+        return self.inner.matvec(x)
+
+
 class TestAveragedPower:
     def test_single_term_is_the_uniform_start(self, seven_node):
         np.testing.assert_array_equal(averaged_power(seven_node, 1), uniform_vector(7))
@@ -86,8 +99,8 @@ class TestAveragedPower:
             for K in (1, 2, 3, 10, 57, 400):
                 assert residual(P, averaged_power(P, K), "l1") <= 2 / K
 
-    def test_doubling_path_matches_the_literal_loop(self, seven_node):
-        # K above the doubling cutoff, recomputed by explicit summation
+    def test_matches_the_literal_loop(self, seven_node):
+        # a long average, recomputed by explicit summation
         K = 5000
         current = uniform_vector(7)
         total = current.copy()
@@ -115,6 +128,29 @@ class TestDominantEigenvector:
         P = generate(GridModelSpec(2, ModelVariant.MODEL2))
         x = dominant_eigenvector(P, tol=1e-6)
         np.testing.assert_allclose(x, [1 / 3, 1 / 6, 1 / 6, 1 / 3], atol=1e-6)
+
+    def test_periodic_grid_meets_tol_and_the_exact_scores(self):
+        # the Model 2 chain has period 2n-1, so plain power iteration never settles
+        P = generate(GridModelSpec(20, ModelVariant.MODEL2))
+        for tol in (1e-8, 1e-10):
+            x = dominant_eigenvector(P, tol)
+            assert residual(P, x, "l1") <= tol
+            assert np.abs(x - model2_exact_scores(20)).sum() <= 1e-6
+
+    def test_tight_tol_stops_long_before_the_2_over_tol_law(self):
+        # ceil(2/tol) terms would be 2e10 matvecs; the restarted rounds meet
+        # tol within a few thousand
+        P = MatvecBudget(generate(GridModelSpec(30, ModelVariant.MODEL1)), 20_000)
+        x = dominant_eigenvector(P, tol=1e-10)
+        assert residual(P.inner, x, "l1") <= 1e-10
+
+    def test_round_at_the_cap_is_certified_by_the_2_over_K_law(self, seven_node):
+        # the first round of 64 terms leaves residual 0.0223 > tol, so the next
+        # round runs at the cap ceil(2/tol) = 100 terms and returns unchecked
+        P = MatvecBudget(seven_node, 64 + 99)
+        x = dominant_eigenvector(P, tol=0.02)
+        assert P.budget == 0
+        assert residual(seven_node, x, "l1") <= 0.02
 
 
 class TestRegularizedPowerMethod:
