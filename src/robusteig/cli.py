@@ -132,9 +132,20 @@ def _uncertainty_spec(args, P: SparseStochasticMatrix) -> UncertaintySpec:
         else:
             raise _ConfigError(f"bad --col-budget value {args.col_budget!r}")
     try:
-        return UncertaintySpec(epsilon, NormPair.from_string(args.pair), budgets)
+        spec = UncertaintySpec(epsilon, NormPair.from_string(args.pair), budgets)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
+    # g1 with sum c_j <= 1, and g2 with sum c_j^2 <= 1, are sum_j c_j |x_j|:
+    # linear on the simplex, and a constant under the default eps/n budgets
+    if spec.pair is not NormPair.L2_L2:
+        c = spec.weights(P.n)
+        mass, name = (c.sum(), "c_j") if spec.pair is NormPair.L1_G1 else (c @ c, "c_j^2")
+        if mass <= 1.0 + 1e-12:
+            print(f"robusteig: warning: sum_j {name} = {mass:.6g} <= 1, so the {args.pair} "
+                  "penalty is the linear sum_j c_j x_j on the simplex (a constant for the "
+                  "default eps/n budgets); raise --col-budget to make it robust",
+                  file=sys.stderr)
+    return spec
 
 
 def _run_solver(name: str, P: SparseStochasticMatrix, spec: UncertaintySpec, args) -> SolveReport:

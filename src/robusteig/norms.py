@@ -13,6 +13,15 @@ characterizations drive both evaluation and subgradients:
 
 and any optimizing z is a subgradient.
 
+g1 finds its threshold by selection, as projections onto the l1 ball do
+(Duchi et al. 2008): the greedy fill of z reaches the budget 1 within the
+few largest |x_j|, so an O(n) partition takes the top k entries, only those
+are sorted, and k grows eightfold until that prefix certifies the full
+sort's answer bit for bit.  Weights that cannot fill 1 within n/8 entries
+(sum(c) <= 1, as with the default c_j = 1/n) go straight to the full scan.
+g2 keeps its full sort: its value sums the uncapped entries in ascending
+order, which a selection cannot reproduce bit for bit.
+
 :class:`Objective` is the one place where phi and its subgradient are
 computed.  Built once per (P, spec), it caches the weights c; one evaluation
 costs one P.matvec and one penalty evaluation, plus one P.rmatvec when the
@@ -23,6 +32,7 @@ into it, and the solvers hold one for the length of a solve.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,15 +109,28 @@ def _check_weights(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _g1_with_dual(x: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
-    """g1 value via the threshold scan plus an optimizing dual vector.
+# g1 looks for its threshold among the top-k entries of |x| before it sorts
+# them all: the first k worth probing, and the factor by which k grows after
+# a probe that cannot certify its answer
+_G1_FIRST_PROBE = 32
+_G1_PROBE_GROWTH = 8
 
-    The primal minimum over decompositions reduces to
-    min_{t >= 0} t + sum_j c_j (|x_j| - t)_+ scanned over breakpoints
-    t in {0} U {|x_j|}; the dual vector is the greedy fractional-knapsack
-    fill of max{z.x : ||z||_1 <= 1, |z_j| <= c_j}.
+
+def _g1_guard(c: np.ndarray) -> tuple[float, int]:
+    """Sum of the weights c, and the size of the first top-k probe of g1.
+
+    k entries carry weight at most k max(c), and all n carry sum(c), so no
+    prefix shorter than 1 / max(c) fills the budget 1, and none does when
+    sum(c) <= 1; the probe then has size n, which is the full scan.  The
+    first probe is twice that shortest prefix, for room past the fill.
     """
-    x = np.asarray(x, dtype=float)
+    total = float(c.sum())
+    reach = 2 * math.ceil(1.0 / float(c.max())) if total > 1.0 else c.size
+    return total, max(_G1_FIRST_PROBE, reach)
+
+
+def _g1_scan(x: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
+    """g1 value and dual vector from the threshold scan over all of |x|."""
     a = np.abs(x)
     order = np.argsort(-a, kind="stable")
     a_s, c_s = a[order], c[order]
@@ -123,6 +146,80 @@ def _g1_with_dual(x: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
     z[order] = fill
     z *= np.sign(x)
     return value, z
+
+
+def _top_k(x: np.ndarray, k: int) -> np.ndarray | None:
+    """Ascending indices j with |x_j| at least the k-th largest |x|, ties included.
+
+    None when the top k hold NaN or inf, which only the scan orders.  Each
+    call holds one n-array, freed on return.
+    """
+    part = np.abs(x)
+    part.partition(x.size - k)                 # O(n) selection, in place
+    thr = part[x.size - k]
+    if not np.isfinite(part[x.size - k:]).all():
+        return None
+    return np.flatnonzero((x >= thr) | (x <= -thr))
+
+
+def _g1_on_prefix(x: np.ndarray, c: np.ndarray, top: np.ndarray,
+                  total: float) -> tuple[float, np.ndarray] | None:
+    """The scan's value and dual vector from the entries top alone, or None.
+
+    top holds every index whose |x_j| is at least some threshold, so its
+    stable descending order is the first top.size entries of the scan's, and
+    the same formulas give the same bits there.  Past the prefix the scan's
+    fill is 0 and its candidates h(|x_j|), with h(t) = t + sum_j c_j (|x_j| -
+    t)_+, do not fall below h at the last prefix entry, since h decreases
+    while more than weight 1 lies above t; t = 0 is one more such point.  The
+    answer is certified when the prefix weight passes 1, and that last
+    candidate passes the minimum, by more than the rounding of a running sum
+    over n entries (Higham 2002, ch. 4); otherwise None.
+    """
+    a_top = np.abs(x[top])
+    perm = np.argsort(-a_top, kind="stable")
+    order = top[perm]
+    a_s, c_s = a_top[perm], c[order]
+    cum_c = np.cumsum(c_s)
+    prev_c = cum_c - c_s
+    prev_ca = np.cumsum(c_s * a_s) - c_s * a_s
+    candidates = a_s * (1.0 - prev_c) + prev_ca
+    best = candidates.min()
+    slack = 2.0 * (x.size + 8) * np.finfo(float).eps * (1.0 + total)
+    if not (cum_c[-1] - 1.0 > slack and candidates[-1] - best > slack * a_s[0]):
+        return None
+    z = np.sign(x)
+    z *= 0.0                                   # the scan's 0 * sign(x_j) past the prefix
+    z[order] = np.clip(1.0 - prev_c, 0.0, c_s) * np.sign(x[order])
+    return float(best), z
+
+
+def _g1_with_dual(x: np.ndarray, c: np.ndarray,
+                  guard: tuple[float, int] | None = None) -> tuple[float, np.ndarray]:
+    """g1 value via the threshold scan plus an optimizing dual vector.
+
+    The primal minimum over decompositions reduces to
+    min_{t >= 0} t + sum_j c_j (|x_j| - t)_+ scanned over breakpoints
+    t in {0} U {|x_j|}; the dual vector is the greedy fractional-knapsack
+    fill of max{z.x : ||z||_1 <= 1, |z_j| <= c_j}.  The fill reaches the
+    budget 1 after a few of the largest |x_j|, so the scan runs first on the
+    top k of them (found by selection, ties included), with k growing by
+    _G1_PROBE_GROWTH while the prefix cannot certify the full scan's bits,
+    and over all of x once k passes n / _G1_PROBE_GROWTH.  guard is
+    _g1_guard(c), which callers holding c may cache.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    total, k = guard if guard is not None else _g1_guard(c)
+    while k * _G1_PROBE_GROWTH <= n:
+        top = _top_k(x, k)
+        if top is None or top.size * _G1_PROBE_GROWTH > n:
+            break                              # NaN or inf, or ties over most of x
+        found = _g1_on_prefix(x, c, top, total)
+        if found is not None:
+            return found
+        k *= _G1_PROBE_GROWTH
+    return _g1_scan(x, c)
 
 
 def _g2_with_dual(x: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
@@ -168,7 +265,13 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def g1(x: np.ndarray, c: np.ndarray) -> float:
-    """min over x = u + v of ||u||_inf + sum_j c_j |v_j| (O(n log n))."""
+    """min over x = u + v of ||u||_inf + sum_j c_j |v_j|.
+
+    O(n) selection plus a sort of the k largest |x_j|, where k is 32, or
+    2/max(c) when that is more, grown eightfold while the fill of weight 1
+    is not certified inside them; the O(n log n) full scan when k would pass
+    n/8, as it does when sum(c) <= 1 (the default c_j = 1/n).
+    """
     return _g1_with_dual(x, _check_weights(c))[0]
 
 
@@ -242,6 +345,7 @@ class Objective:
         self.spec = spec
         self._l1_residual = spec.pair.residual_norm == "l1"
         self._weights = None if spec.pair is NormPair.L2_L2 else spec.weights(P.n)
+        self._g1_guard = _g1_guard(self._weights) if spec.pair is NormPair.L1_G1 else None
 
     def _penalty_with_dual(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Penalty-norm value and a subgradient of it at x."""
@@ -251,7 +355,7 @@ class Objective:
                 return 0.0, np.zeros_like(x)
             return nx, x / nx
         if self.spec.pair is NormPair.L1_G1:
-            return _g1_with_dual(x, self._weights)
+            return _g1_with_dual(x, self._weights, self._g1_guard)
         return _g2_with_dual(x, self._weights)
 
     def evaluate(self, x: np.ndarray, with_subgradient: bool = False

@@ -96,6 +96,20 @@ class TestRank:
         assert first == second
 
 
+    def test_budgets_that_make_the_l1g1_penalty_linear_warn_on_stderr(
+            self, capsys, seven_node_file):
+        # eps/n budgets sum to 1, so g1 is sum_j c_j x_j, a constant on the simplex
+        args = ("rank", "--input", seven_node_file, "--solver", "nominal",
+                "--pair", "l1g1", "--format", "json")
+        assert main(list(args)) == 0
+        default = capsys.readouterr()
+        assert "warning" in default.err and "l1g1" in default.err
+        assert len(default.err.splitlines()) == 1
+        assert main([*args, "--col-budget", "uniform:0.3"]) == 0
+        robust = capsys.readouterr()
+        assert robust.err == ""
+
+
 class TestCompare:
     def test_seven_node_nominal_vs_damped_and_robust(self, capsys, seven_node_file):
         code, out = run_cli(capsys, "compare", "--input", seven_node_file,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from robusteig import (NormPair, SparseStochasticMatrix, UncertaintySpec, g1,
                        g2, g_oracle, phi, phi_value, subgradient_phi,
                        uniform_vector)
-from robusteig.norms import _g2_with_dual
+from robusteig.norms import _g1_with_dual, _g2_with_dual
 
 from conftest import SEVEN_NODE_XBAR, random_stochastic_dense
 
@@ -53,6 +53,51 @@ def _g2_scan_loop(x, c):
             z[support] = np.minimum(a_s / rho, c_s) * np.sign(x[support])
             return float(cum_ca_rev[k] + cum_a2[k] / rho), z
     raise RuntimeError("no consistent interval")
+
+
+def _g1_scan(x, c):
+    """_g1_with_dual as a stable argsort of all of |x| and a scan of every breakpoint."""
+    a = np.abs(x)
+    order = np.argsort(-a, kind="stable")
+    a_s, c_s = a[order], c[order]
+    cum_c = np.cumsum(c_s)
+    prev_c = cum_c - c_s
+    prev_ca = np.cumsum(c_s * a_s) - c_s * a_s
+    candidates = a_s * (1.0 - prev_c) + prev_ca
+    value = float(np.sum(c_s * a_s))
+    if candidates.size:
+        value = min(value, float(candidates.min()))
+    z = np.empty_like(a)
+    z[order] = np.clip(1.0 - prev_c, 0.0, c_s)
+    z *= np.sign(x)
+    return value, z
+
+
+def _g1_x_families(rng, n):
+    """x vectors for the g1 equivalence sweep, by name."""
+    u = rng.random(n) ** 8
+    yield "heavy-tailed simplex", u / u.sum()
+    few = rng.integers(0, 4, n).astype(float)
+    top = rng.permutation(n)[:50]
+    few[top[:20]] = rng.integers(5, 9, top[:20].size)
+    few[top[20:]] = 4.0                      # 30 ties across the 32nd largest
+    yield "few-valued", few
+    signed = rng.standard_normal(n)
+    signed[rng.random(n) < 0.2] = 0.0
+    yield "signed with zeros", signed
+    yield "uniform", np.full(n, 1.0 / n)
+    # candidates within rounding of each other: only a certified prefix may stop early
+    yield "near-ties", 1.0 + 1e-13 * rng.standard_normal(n)
+
+
+def _g1_c_families(rng, n):
+    """Weights for the g1 equivalence sweep, by name."""
+    yield "1/n", np.full(n, 1.0 / n)
+    yield "sum below 1", rng.uniform(0.1, 0.9, n) / n
+    yield "inv-degree", 1.0 / np.maximum(1, rng.poisson(4, n))
+    yield "fixed 0.05", np.full(n, 0.05)
+    yield "fixed 0.3", np.full(n, 0.3)
+    yield "1/n with 1% at 1", np.where(rng.random(n) < 0.01, 1.0, 1.0 / n)
 
 
 class TestG1:
@@ -139,6 +184,38 @@ class TestOracles:
                 want_value, want_z = _g2_scan_loop(x, c)
                 assert value == want_value
                 assert z.tobytes() == want_z.tobytes()
+
+    def test_g1_selection_matches_the_full_scan_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 7, 255, 256, 400, 2000, 3000):
+            for _ in range(4):
+                for x_name, x in _g1_x_families(rng, n):
+                    for c_name, c in _g1_c_families(rng, n):
+                        value, z = _g1_with_dual(x, c)
+                        want_value, want_z = _g1_scan(x, c)
+                        assert value == want_value, (n, x_name, c_name)
+                        assert np.array_equal(z, want_z), (n, x_name, c_name)
+
+    def test_g1_sorts_only_a_short_prefix(self, monkeypatch):
+        # inv-degree-like weights fill the budget within a few of the largest
+        # |x_j|; the full scan would sort all 200 000 entries
+        rng = np.random.default_rng(14)
+        n = 200_000
+        u = rng.random(n) ** 8
+        x = u / u.sum()
+        c = 1.0 / np.maximum(1, rng.poisson(4, n))
+        sizes = []
+        argsort = np.argsort
+
+        def counted(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        value = g1(x, c)
+        monkeypatch.undo()
+        assert sizes and max(sizes) <= 1024
+        assert value == _g1_scan(x, c)[0]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

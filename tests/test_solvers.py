@@ -251,6 +251,14 @@ class TestMirrorDescent:
         assert counts["matvec"] <= report.iterations_used + setup
         assert counts["rmatvec"] <= report.iterations_used + setup
 
+    @pytest.mark.xfail(strict=True, reason="mirror descent stops above the l1g1 optimum "
+                       "(phi 0.299039 against the LP's 20/69 = 0.289855); an exact LP "
+                       "solve for l1g1 is ROADMAP item 4")
+    def test_l1g1_reaches_the_lp_optimum_on_seven_node(self, seven_node):
+        spec = UncertaintySpec(1.0, NormPair.L1_G1, 0.3)
+        report = mirror_descent_minimize(seven_node, spec, SolverConfig(max_iter=200))
+        assert report.objective.total <= 20 / 69 * (1 + 1e-6)
+
     def test_works_for_all_norm_pairs(self, seven_node):
         for pair in NormPair:
             spec = UncertaintySpec(1.0, pair)
