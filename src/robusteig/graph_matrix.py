@@ -5,50 +5,114 @@ Columns with no outgoing links ("dangling") are repaired to the uniform
 distribution over all n nodes, including the node itself.  The uniform repair
 is stored implicitly (a set of column indices plus the 1/n value) so large
 graphs stay sparse.
+
+Edges travel from the text format to the matrix as two int64 arrays, sources
+and destinations, with no Python object per edge: parsing is O(m) array work
+over the lines of the text, and building is O(m) array work plus one sort of
+the m keys `s * n + d` (the `np.unique` of the keys), which collapses
+duplicate edges.  `EdgeList.edges`, the tuple of (source, destination) pairs,
+is built only when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.dtypes import StringDType
 from scipy import sparse
 
 COLUMN_SUM_TOL = 1e-12
 SIMPLEX_TOL = 1e-9
+_MAX_KEYED_NODES = 3_037_000_499          # the largest n with n * n < 2**63
 
 
 class InputError(ValueError):
     """Malformed graph input (bad endpoint, empty graph, unparseable line)."""
 
 
-@dataclass(frozen=True)
 class EdgeList:
     """Directed edges (source, destination) over nodes 0..n-1.
 
     Duplicate edges are permitted here; they are collapsed to a single link
     when the matrix is built (a page either cites another page or it does not).
+    The edges are held as two read-only int64 arrays; `edges`, the tuple of
+    pairs, is built when it is first read.
     """
 
-    edges: tuple[tuple[int, int], ...]
-    n: int
+    def __init__(self, edges, n: int):
+        pairs = _pairs(edges)
+        self._init(pairs[:, 0], pairs[:, 1], n)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"node count must be >= 1, got {self.n}")
-        for s, d in self.edges:
-            if not (0 <= s < self.n and 0 <= d < self.n):
-                raise InputError(f"edge ({s}, {d}) out of range for n={self.n}")
+    @classmethod
+    def from_arrays(cls, src, dst, n: int) -> "EdgeList":
+        """Edges from equal-length integer arrays of sources and destinations."""
+        self = cls.__new__(cls)
+        self._init(src, dst, n)
+        return self
+
+    def _init(self, src, dst, n):
+        if n < 1:
+            raise InputError(f"node count must be >= 1, got {n}")
+        src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise InputError("sources and destinations must be 1-d arrays of one length")
+        bad = np.flatnonzero(_outside(src, n) | _outside(dst, n))
+        if bad.size:
+            k = bad[0]
+            raise InputError(f"edge ({src[k]}, {dst[k]}) out of range for n={n}")
+        src.flags.writeable = dst.flags.writeable = False
+        self.n, self._src, self._dst = int(n), src, dst
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self._src.tolist(), self._dst.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, EdgeList):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self._src, other._src)
+                and np.array_equal(self._dst, other._dst))
+
+    def __hash__(self):
+        return hash((self.n, self._src.tobytes(), self._dst.tobytes()))
+
+    def __repr__(self):
+        return f"EdgeList(edges={self.edges!r}, n={self.n})"
+
+
+def _pairs(edges) -> np.ndarray:
+    """The edges as an (m, 2) int64 array, ids read as int() reads them."""
+    if not isinstance(edges, (list, tuple, np.ndarray)):
+        edges = list(edges)
+    try:
+        pairs = np.array(edges, dtype=np.int64)
+    except OverflowError:
+        raise InputError("node id outside the int64 range") from None
+    except (TypeError, ValueError):
+        raise InputError("edges must be (source, destination) pairs") from None
+    if pairs.size == 0:
+        return pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InputError("edges must be (source, destination) pairs")
+    return pairs
+
+
+def _outside(ids: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the int64 ids outside [0, n), by one unsigned comparison (a
+    negative id reads as one above 2**63)."""
+    return ids.view(np.uint64) >= n
 
 
 def edge_list(edges, n=None) -> EdgeList:
     """Build an EdgeList, inferring n = max id + 1 when not given."""
-    edges = tuple((int(s), int(d)) for s, d in edges)
+    pairs = _pairs(edges)
     if n is None:
-        if not edges:
+        if not pairs.size:
             raise InputError("cannot infer node count from an empty edge list")
-        n = 1 + max(max(s, d) for s, d in edges)
-    return EdgeList(edges, int(n))
+        n = 1 + int(pairs.max())
+    return EdgeList.from_arrays(pairs[:, 0], pairs[:, 1], int(n))
 
 
 @dataclass(frozen=True)
@@ -80,8 +144,7 @@ class SparseStochasticMatrix:
         self._links_t = links.T
         self.dangling_columns = frozenset(int(j) for j in dangling_columns)
         self._dangling_mask = np.zeros(n, dtype=bool)
-        for j in self.dangling_columns:
-            self._dangling_mask[j] = True
+        self._dangling_mask[list(self.dangling_columns)] = True
 
     @property
     def nnz(self) -> int:
@@ -117,8 +180,7 @@ class SparseStochasticMatrix:
 
     def to_dense(self) -> np.ndarray:
         dense = self._links.toarray()
-        for j in self.dangling_columns:
-            dense[:, j] += 1.0 / self.n
+        dense[:, self._dangling_mask] += 1.0 / self.n
         return dense
 
     @classmethod
@@ -140,19 +202,15 @@ def from_edge_list(edges: EdgeList) -> SparseStochasticMatrix:
     repaired to uniform over all n nodes.
     """
     n = edges.n
-    unique = sorted(set(edges.edges))
-    rows, cols, vals = [], [], []
-    out_degree = np.zeros(n, dtype=np.int64)
-    for s, _ in unique:
-        out_degree[s] += 1
-    for s, d in unique:
-        rows.append(d)
-        cols.append(s)
-        vals.append(1.0 / out_degree[s])
-    links = sparse.csc_array(
-        (np.asarray(vals, dtype=float), (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(n, n),
-    )
+    if n > _MAX_KEYED_NODES:
+        raise InputError(f"node count {n} too large: the keys s * n + d overflow int64")
+    # the distinct keys s * n + d in ascending order, which is the (s, d) order
+    # of sorted(set(pairs)); np.unique would do, but since numpy 2.3 it goes
+    # through a hash table, 30 times slower here than the sort
+    keys = np.sort(edges._src * n + edges._dst)
+    src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    out_degree = np.bincount(src, minlength=n)
+    links = sparse.csc_array((1.0 / out_degree[src], (dst, src)), shape=(n, n))
     # guard against accumulated rounding in columns with many links
     sums = np.asarray(links.sum(axis=0)).ravel()
     off = (out_degree > 0) & (np.abs(sums - 1.0) > 1e-15)
@@ -161,16 +219,13 @@ def from_edge_list(edges: EdgeList) -> SparseStochasticMatrix:
         scale[off] = 1.0 / sums[off]
         links = links @ sparse.diags_array(scale, format="csc")
         links = sparse.csc_array(links)
-    dangling = frozenset(int(j) for j in np.flatnonzero(out_degree == 0))
-    return SparseStochasticMatrix(links, dangling)
+    return SparseStochasticMatrix(links, np.flatnonzero(out_degree == 0))
 
 
 def out_degrees(P: SparseStochasticMatrix) -> np.ndarray:
     """Out-degree per node; dangling nodes count n (uniform repair)."""
-    deg = np.diff(P._links.indptr)
-    deg = deg.astype(np.int64)
-    for j in P.dangling_columns:
-        deg[j] = P.n
+    deg = np.diff(P._links.indptr).astype(np.int64)
+    deg[P._dangling_mask] = P.n
     return deg
 
 
@@ -234,41 +289,117 @@ def check_score_vector(x: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
 #   n=<count>          (optional; otherwise node count = max id + 1)
 #   dangling:<id>      (declares a node with no outgoing links)
 #   <src>\t<dst>       (one edge per line, 0-based ids)
+#
+# Ids are read as int() reads them ("+1", "007" and "1_0" are ids); the edge
+# and directive ids must lie in [0, n).
+
+# the characters str.split() splits a line at: tab and space first, then the
+# non-ASCII whitespace (none lies above U+3000); the other ASCII whitespace
+# breaks lines, except \x1f, which int() does not strip, so that edge lines
+# have it replaced by a space first
+_SPACES = "\t " + "".join(c for c in map(chr, range(0x80, 0x3001)) if c.isspace())
+
 
 def parse_edge_list(text: str) -> EdgeList:
-    edges = []
-    declared_n = None
-    max_id = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("n="):
-            try:
-                declared_n = int(line[2:])
-            except ValueError:
-                raise InputError(f"line {lineno}: bad node-count header {line!r}") from None
-            continue
-        if line.startswith("dangling:"):
-            try:
-                node = int(line.split(":", 1)[1])
-            except ValueError:
-                raise InputError(f"line {lineno}: bad dangling directive {line!r}") from None
-            max_id = max(max_id, node)
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"line {lineno}: expected 'src<TAB>dst', got {line!r}")
-        try:
-            s, d = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputError(f"line {lineno}: non-integer node id in {line!r}") from None
-        edges.append((s, d))
-        max_id = max(max_id, s, d)
-    n = declared_n if declared_n is not None else max_id + 1
+    """Parse the text format into an EdgeList by array operations over all lines.
+
+    A malformed line, an id outside [0, n) or a node count below 1 raises
+    InputError; a line's error names its line number, and of several bad
+    lines the first malformed one is named, or else the first out of range.
+    """
+    lines = text.splitlines()
+    try:
+        lines = np.strings.strip(np.array(lines, dtype=StringDType()))
+    except UnicodeEncodeError:
+        raise InputError(f"line {_first_failure(str.encode, lines) + 1}: "
+                         "not encodable as UTF-8") from None
+    header = np.strings.startswith(lines, "n=")
+    directive = np.strings.startswith(lines, "dangling:")
+    edge = ~(header | directive | (lines == "") | np.strings.startswith(lines, "#"))
+    # (gathered by mask: numpy copies StringDType elements ten times faster
+    # by a mask than by an index array)
+    counts, bad_count = _ids(np.strings.slice(lines[header], 2, None))
+    nodes, bad_node = _ids(np.strings.slice(lines[directive], 9, None))
+    body = lines[edge]
+    if "\x1f" in text:
+        body = np.strings.replace(body, "\x1f", " ")
+    heads, tails = _split_at_whitespace(body)
+    src, bad_src = _ids(heads)
+    dst, bad_dst = _ids(tails)
+    header_at, node_at, edge_at = map(np.flatnonzero, (header, directive, edge))
+    malformed = [at[k] for at, k in ((header_at, bad_count), (node_at, bad_node),
+                                     (edge_at, bad_src), (edge_at, bad_dst)) if k is not None]
+    if malformed:
+        k = min(malformed)
+        raise InputError(_malformed(k + 1, str(lines[k])))
+
+    if counts.size:
+        n = int(counts[-1])
+    else:
+        n = 1 + max(int(a.max(initial=-1)) for a in (src, dst, nodes))
     if n < 1:
         raise InputError("edge list declares no nodes")
-    return EdgeList(tuple(edges), n)
+    outside = ([(edge_at[k], f"edge ({src[k]}, {dst[k]})")
+                for k in np.flatnonzero(_outside(src, n) | _outside(dst, n))[:1]]
+               + [(node_at[k], f"dangling node {nodes[k]}")
+                  for k in np.flatnonzero(_outside(nodes, n))[:1]])
+    if outside:
+        at, what = min(outside)
+        raise InputError(f"line {at + 1}: {what} out of range for n={n}")
+    return EdgeList.from_arrays(src, dst, n)
+
+
+def _split_at_whitespace(lines):
+    """(head, tail) of each line cut at one whitespace character; a line
+    without whitespace gets an empty tail.
+
+    int() strips the whitespace left at either cut end, so a line of two ids
+    gives both, and a line of one, three or more words gives a head or tail
+    that int() rejects.
+    """
+    head, sep, tail = np.strings.partition(lines, np.array(_SPACES[0], dtype=lines.dtype))
+    for space in _SPACES[1:]:
+        uncut = sep == ""
+        if not uncut.any():
+            break
+        head[uncut], sep[uncut], tail[uncut] = np.strings.partition(
+            lines[uncut], np.array(space, dtype=lines.dtype))
+    return head, tail
+
+
+def _ids(strings) -> tuple[np.ndarray | None, int | None]:
+    """The int64 values of the strings as int() reads them and None, or None
+    and the index of the first string that int() rejects or int64 cannot hold."""
+    try:
+        return strings.astype(np.int64), None
+    except (ValueError, OverflowError):
+        return None, _first_failure(lambda s: np.int64(int(s)), strings.tolist())
+
+
+def _first_failure(convert, items) -> int:
+    """Index of the first item on which convert raises ValueError or OverflowError."""
+    for k, item in enumerate(items):
+        try:
+            convert(item)
+        except (ValueError, OverflowError):
+            return k
+    raise AssertionError("every item converts")
+
+
+def _malformed(lineno: int, line: str) -> str:
+    """The error message for a stripped line that does not parse."""
+    if line.startswith("n="):
+        return f"line {lineno}: bad node-count header {line!r}"
+    if line.startswith("dangling:"):
+        return f"line {lineno}: bad dangling directive {line!r}"
+    words = line.split()
+    if len(words) != 2:
+        return f"line {lineno}: expected 'src<TAB>dst', got {line!r}"
+    try:
+        [int(w) for w in words]
+    except ValueError:
+        return f"line {lineno}: non-integer node id in {line!r}"
+    return f"line {lineno}: node id outside the int64 range in {line!r}"
 
 
 def load_edge_list(path) -> EdgeList:
@@ -279,14 +410,10 @@ def load_edge_list(path) -> EdgeList:
 def edge_list_text(edges: EdgeList, dangling_directives: bool = True) -> str:
     """Serialize in the canonical text format (dangling nodes as directives)."""
     lines = [f"n={edges.n}"]
-    has_out = np.zeros(edges.n, dtype=bool)
-    for s, _ in edges.edges:
-        has_out[s] = True
-    for s, d in edges.edges:
-        lines.append(f"{s}\t{d}")
+    lines += [f"{s}\t{d}" for s, d in zip(edges._src.tolist(), edges._dst.tolist())]
     if dangling_directives:
-        for j in np.flatnonzero(~has_out):
-            lines.append(f"dangling:{int(j)}")
+        has_out = np.bincount(edges._src, minlength=edges.n) > 0
+        lines += [f"dangling:{j}" for j in np.flatnonzero(~has_out).tolist()]
     return "\n".join(lines) + "\n"
 
 

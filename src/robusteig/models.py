@@ -58,23 +58,17 @@ class GridModelSpec:
 def edge_list_for(spec: GridModelSpec) -> EdgeList:
     """Directed edges of the grid; the Model 1 corner is left dangling so the
     uniform repair (over all N nodes, itself included) supplies its jumps."""
-    n = spec.n
-    last = n - 1
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            u = spec.node_id(i, j)
-            if i == last and j == last:
-                if spec.variant is ModelVariant.MODEL2:
-                    edges.append((u, spec.node_id(0, 0)))
-            elif i == last:
-                edges.append((u, spec.node_id(i, j + 1)))
-            elif j == last:
-                edges.append((u, spec.node_id(i + 1, j)))
-            else:
-                edges.append((u, spec.node_id(i + 1, j)))
-                edges.append((u, spec.node_id(i, j + 1)))
-    return EdgeList(tuple(edges), spec.node_count)
+    n, N = spec.n, spec.node_count
+    u = np.arange(N)
+    i, j = np.divmod(u, n)
+    # each node's south link, then its east link, where the grid has them
+    keep = np.stack([i < n - 1, j < n - 1], axis=1).ravel()
+    src = np.repeat(u, 2)[keep]
+    dst = np.stack([u + n, u + 1], axis=1).ravel()[keep]
+    if spec.variant is ModelVariant.MODEL2:
+        # the corner, the last node, links back to the origin
+        src, dst = np.append(src, N - 1), np.append(dst, 0)
+    return EdgeList.from_arrays(src, dst, N)
 
 
 def generate(spec: GridModelSpec) -> SparseStochasticMatrix:

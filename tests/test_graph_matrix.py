@@ -1,14 +1,55 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from robusteig import (EdgeList, InputError, SparseStochasticMatrix,
                        edge_list, from_edge_list, parse_edge_list, residual,
                        uniform_vector, validate)
-from robusteig.graph_matrix import edge_list_text, out_degrees
+from robusteig.graph_matrix import edge_list_text, load_edge_list, out_degrees
 
 from conftest import SEVEN_NODE_DENSE, SEVEN_NODE_EDGES, SEVEN_NODE_XBAR
+
+
+def reference_from_edge_list(edges: EdgeList):
+    """The link matrix and dangling set as from_edge_list built them with
+    Python loops over the edges, kept as the reference for the array build."""
+    n = edges.n
+    unique = sorted(set(edges.edges))
+    rows, cols, vals = [], [], []
+    out_degree = np.zeros(n, dtype=np.int64)
+    for s, _ in unique:
+        out_degree[s] += 1
+    for s, d in unique:
+        rows.append(d)
+        cols.append(s)
+        vals.append(1.0 / out_degree[s])
+    links = sparse.csc_array(
+        (np.asarray(vals, dtype=float), (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+        shape=(n, n),
+    )
+    sums = np.asarray(links.sum(axis=0)).ravel()
+    off = (out_degree > 0) & (np.abs(sums - 1.0) > 1e-15)
+    if off.any():
+        scale = np.ones(n)
+        scale[off] = 1.0 / sums[off]
+        links = links @ sparse.diags_array(scale, format="csc")
+        links = sparse.csc_array(links)
+    dangling = frozenset(int(j) for j in np.flatnonzero(out_degree == 0))
+    return links, dangling
+
+
+@st.composite
+def edge_lists(draw):
+    """Random edge lists: duplicates, self-loops and dangling nodes are common,
+    n = 1 and the empty edge set occur, and a few nodes link to many."""
+    n = draw(st.integers(1, 40))
+    ids = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=3 * n))
+    hub = draw(ids)
+    edges += [(hub, d) for d in draw(st.lists(ids, max_size=n))]
+    return EdgeList(tuple(draw(st.permutations(edges))), n)
 
 
 class TestFromEdgeList:
@@ -49,10 +90,63 @@ class TestFromEdgeList:
         with pytest.raises(InputError):
             EdgeList((), 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists())
+    @example(EdgeList((), 1))
+    @example(EdgeList(((0, 0), (0, 0)), 1))
+    @example(EdgeList((), 5))
+    def test_array_build_matches_the_loop_bit_for_bit(self, edges):
+        P = from_edge_list(edges)
+        links, dangling = reference_from_edge_list(edges)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(P._links, name), getattr(links, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert P.dangling_columns == dangling
+        dense = links.toarray()
+        degrees = np.diff(links.indptr).astype(np.int64)
+        for j in dangling:
+            dense[:, j] += 1.0 / edges.n
+            degrees[j] = edges.n
+        assert np.array_equal(P.to_dense(), dense)
+        assert np.array_equal(out_degrees(P), degrees)
+
+    def test_node_count_beyond_the_int64_keys_rejected(self):
+        with pytest.raises(InputError, match="too large"):
+            from_edge_list(EdgeList(((0, 1),), 3_037_000_500))
+
     def test_out_degrees_count_links_and_repair(self, seven_node):
         np.testing.assert_array_equal(out_degrees(seven_node), [2, 1, 3, 2, 1, 1, 1])
         P = from_edge_list(edge_list([(0, 1), (0, 2)], 3))
         np.testing.assert_array_equal(out_degrees(P), [2, 3, 3])
+
+
+class TestEdgeList:
+    def test_edges_read_back_as_the_pairs_given(self):
+        pairs = ((0, 1), (1, 1), (0, 1), (2, 0))
+        el = EdgeList(pairs, 3)
+        assert el.edges == pairs
+        assert el.n == 3
+        assert el == EdgeList(list(pairs), 3) == edge_list(iter(pairs))
+        assert hash(el) == hash(edge_list(pairs, 3))
+        assert el != EdgeList(pairs, 4)
+        assert repr(EdgeList(((0, 1),), 2)) == "EdgeList(edges=((0, 1),), n=2)"
+
+    def test_out_of_range_and_malformed_edges_rejected(self):
+        for edges, n in ((((0, -1),), 3), (((3, 0),), 3), (((0, 2**70),), 3),
+                         (((0, 1, 2),), 3), (((0,),), 3)):
+            with pytest.raises(InputError):
+                EdgeList(edges, n)
+        with pytest.raises(InputError, match="out of range"):
+            edge_list([(0, 1), (-1, 0)])
+
+    def test_load_and_build_make_no_tuple_per_edge(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("n=3\n0\t1\n1\t2\n0\t1\ndangling:2\n")
+        el = load_edge_list(path)
+        from_edge_list(el)
+        assert "edges" not in vars(el)
+        assert el.edges == ((0, 1), (1, 2), (0, 1))
 
 
 class TestMatvec:
@@ -177,9 +271,44 @@ class TestEdgeListText:
         P = from_edge_list(el)
         assert {1, 2, 3} <= P.dangling_columns
 
+    @pytest.mark.parametrize("text,edges,n", [
+        ("+1\t2\n", ((1, 2),), 3),
+        ("007\t1_0\n-0\t+007\n", ((7, 10), (0, 7)), 11),
+        ("0\t1\r\n1\t2\r\n", ((0, 1), (1, 2)), 3),
+        ("0 1\n1  \t 2\n  2\t0  \n", ((0, 1), (1, 2), (2, 0)), 3),
+        ("n=5\n# a comment after the header\n0\t4\n", ((0, 4),), 5),
+        ("\n   \n#\n0\t1", ((0, 1),), 2),
+        ("0\u3000\x1f1\n", ((0, 1),), 2),
+    ])
+    def test_accepted_forms(self, text, edges, n):
+        el = parse_edge_list(text)
+        assert el.edges == edges
+        assert el.n == n
+
     def test_bad_lines_rejected(self):
-        for text in ("0\n", "a\tb\n", "n=x\n", "dangling:z\n"):
-            with pytest.raises(InputError):
+        for line in ("0", "a\tb", "n=x", "dangling:z", "0\t1\t2", "1\t2.0", "0\t99999999999999999999",
+                     "0\t\ud800"):
+            with pytest.raises(InputError, match="^line 1: "):
+                parse_edge_list(line + "\n")
+            # the first bad line is named, CRLF counting as one line break
+            with pytest.raises(InputError, match="^line 4: "):
+                parse_edge_list("# a comment\r\n0\t1\n\n" + line + "\n2\tq\n")
+
+    def test_node_count_smaller_than_the_largest_id_rejected(self):
+        with pytest.raises(InputError, match=r"^line 3: edge \(0, 5\) out of range for n=3"):
+            parse_edge_list("n=3\n0\t1\n0\t5\n")
+        with pytest.raises(InputError, match=r"^line 2: edge \(-1, 0\) out of range"):
+            parse_edge_list("0\t1\n-1\t0\n")
+
+    def test_dangling_directive_outside_the_node_count_rejected(self):
+        with pytest.raises(InputError, match="^line 3: dangling node 7 out of range for n=3"):
+            parse_edge_list("n=3\n0\t1\ndangling:7\n")
+        with pytest.raises(InputError, match="^line 2: dangling node -2 out of range for n=2"):
+            parse_edge_list("0\t1\ndangling:-2\n")
+
+    def test_no_nodes_rejected(self):
+        for text in ("", "# only a comment\n", "n=0\n", "n=0\n0\t1\n"):
+            with pytest.raises(InputError, match="declares no nodes"):
                 parse_edge_list(text)
 
     def test_roundtrip_preserves_the_matrix(self, seven_node):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robusteig import (GridModelSpec, ModelVariant, dominant_eigenvector,
+from robusteig import (EdgeList, GridModelSpec, ModelVariant, dominant_eigenvector,
                        emit_edge_list, from_edge_list, generate,
                        load_edge_list, model1_exact_scores,
                        model1_pagerank_scores, model2_exact_scores, pagerank,
@@ -16,6 +16,28 @@ def spec1(n):
 
 def spec2(n):
     return GridModelSpec(n, ModelVariant.MODEL2)
+
+
+def reference_grid_edges(spec):
+    """The grid's edges as the node-by-node double loop listed them, kept as
+    the reference for the array construction."""
+    n = spec.n
+    last = n - 1
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            u = spec.node_id(i, j)
+            if i == last and j == last:
+                if spec.variant is ModelVariant.MODEL2:
+                    edges.append((u, spec.node_id(0, 0)))
+            elif i == last:
+                edges.append((u, spec.node_id(i, j + 1)))
+            elif j == last:
+                edges.append((u, spec.node_id(i + 1, j)))
+            else:
+                edges.append((u, spec.node_id(i + 1, j)))
+                edges.append((u, spec.node_id(i, j + 1)))
+    return tuple(edges)
 
 
 class TestGenerate:
@@ -136,6 +158,23 @@ class TestEdgeListEmission:
         assert "dangling:" not in path.read_text()
         P = from_edge_list(load_edge_list(path))
         np.testing.assert_array_equal(P.to_dense(), generate(spec2(3)).to_dense())
+
+    @pytest.mark.parametrize("make", [spec1, spec2])
+    @pytest.mark.parametrize("n", [2, 3, 20, 100])
+    def test_edges_text_and_matrix_match_the_double_loop(self, make, n, tmp_path):
+        spec = make(n)
+        want = reference_grid_edges(spec)
+        assert edge_list_for(spec).edges == want
+        path = tmp_path / "grid.tsv"
+        emit_edge_list(spec, path)
+        sources = {s for s, _ in want}
+        lines = ([f"n={n * n}"] + [f"{s}\t{d}" for s, d in want]
+                 + [f"dangling:{j}" for j in range(n * n) if j not in sources])
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        P, R = generate(spec), from_edge_list(EdgeList(want, n * n))
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(P._links, name), getattr(R._links, name))
+        assert P.dangling_columns == R.dangling_columns
 
     def test_node_indexing_helpers(self):
         spec = spec1(4)
