@@ -15,7 +15,7 @@ import numpy as np
 
 from . import graph_matrix, models, perturbation, solvers
 from .graph_matrix import InputError, SparseStochasticMatrix
-from .norms import NormPair, UncertaintySpec, phi
+from .norms import NormPair, UncertaintySpec, _g2_mass, phi
 from .perturbation import InfeasiblePerturbationError, pair_for_set
 from .solvers import SolveReport, SolverConfig
 
@@ -136,10 +136,12 @@ def _uncertainty_spec(args, P: SparseStochasticMatrix) -> UncertaintySpec:
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     # g1 with sum c_j <= 1, and g2 with sum c_j^2 <= 1, are sum_j c_j |x_j|:
-    # linear on the simplex, and a constant under the default eps/n budgets
+    # linear on the simplex, and a constant under the default eps/n budgets.
+    # The l2g2 mass is the sum that g2 itself compares with 1
     if spec.pair is not NormPair.L2_L2:
         c = spec.weights(P.n)
-        mass, name = (c.sum(), "c_j") if spec.pair is NormPair.L1_G1 else (c @ c, "c_j^2")
+        mass, name = ((c.sum(), "c_j") if spec.pair is NormPair.L1_G1
+                      else (_g2_mass(c), "c_j^2"))
         if mass <= 1.0 + 1e-12:
             print(f"robusteig: warning: sum_j {name} = {mass:.6g} <= 1, so the {args.pair} "
                   "penalty is the linear sum_j c_j x_j on the simplex (a constant for the "

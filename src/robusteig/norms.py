@@ -19,8 +19,12 @@ few largest |x_j|, so an O(n) partition takes the top k entries, only those
 are sorted, and k grows eightfold until that prefix certifies the full
 sort's answer bit for bit.  Weights that cannot fill 1 within n/8 entries
 (sum(c) <= 1, as with the default c_j = 1/n) go straight to the full scan.
-g2 keeps its full sort: its value sums the uncapped entries in ascending
-order, which a selection cannot reproduce bit for bit.
+g2 sums the uncapped entries in ascending order of the breakpoints
+|x_j| / c_j, which a selection cannot reproduce bit for bit, so it sorts them
+all, once, with the default unstable sort: the stable one is redone only
+when a run of equal breakpoints mixes different (|x_j|, c_j).  It then
+scans only the tail of the sort whose c^2 mass from the end stays below 1,
+where alone rho can fall inside its interval.
 
 :class:`Objective` is the one place where phi and its subgradient are
 computed.  Built once per (P, spec), it caches the weights c; one evaluation
@@ -222,45 +226,100 @@ def _g1_with_dual(x: np.ndarray, c: np.ndarray,
     return _g1_scan(x, c)
 
 
-def _g2_with_dual(x: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
+def _g2_mass(c: np.ndarray) -> float:
+    """sum_j c_j^2, the mass that g2 compares with 1 over the support of x.
+
+    The support is all of x at every iterate of mirror descent, so callers
+    holding c may cache the mass of all of c.
+    """
+    return float(np.sum(c * c))
+
+
+def _g2_with_dual(x: np.ndarray, c: np.ndarray,
+                  mass: float | None = None) -> tuple[float, np.ndarray]:
     """g2 value and optimizing dual z of max{z.x : ||z||_2 <= 1, |z_j| <= c_j}.
 
     The optimal z clamps x/rho at the box, z_j = clamp(x_j / rho, +-c_j); rho
     solves ||z(rho)||_2 = 1, found exactly on the sorted breakpoints
     |x_j| / c_j, unless the box absorbs the whole ball (sum of c_j^2 over the
     support <= 1), in which case g2 = sum_j c_j |x_j|.
+
+    The answer is the same, bit for bit, as that of a stable sort and a scan
+    of every breakpoint, with less work:
+
+    - one default (unstable) sort.  The stable order matters only inside runs
+      of equal breakpoints, and there only when a run mixes different
+      (|x_j|, c_j); then the stable sort is redone.  NaN breakpoints, which
+      sort last, come only from |x_j| = c_j = inf, all alike;
+    - a scan of the tail only.  Slot k puts the k smallest breakpoints
+      uncapped and the rest at the box, and the answer is the largest k whose
+      rho falls inside its own interval.  Only slots whose boxed c^2 mass is
+      below 1 qualify, and that mass, a sequential sum of nonnegative terms
+      from the end, cannot fall, so they are the last few; each sum they read
+      comes from the same sequential cumsum as in the full scan;
+    - on full support, no gather of x and no scatter into z.
+
+    mass is _g2_mass(c), which callers holding c may cache.  A mass above 1
+    only by rounding can leave no slot consistent; g2 is then the box value.
     """
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
+    if a.size and a.min() > 0.0:               # full support; NaN is not > 0
+        support = None
+        x_s, a_s, c_s = x, a, c
+        if mass is None:
+            mass = _g2_mass(c)
+    else:
+        support = a > 0
+        if not support.any():
+            return 0.0, np.zeros_like(a)
+        x_s, a_s, c_s = x[support], a[support], c[support]
+        mass = _g2_mass(c_s)
+    r = None
+    if mass > 1.0:
+        bp = a_s / c_s
+        order = np.argsort(bp)
+        a_o, c_o, bp_o = a_s[order], c_s[order], bp[order]
+        if (((a_o[1:] != a_o[:-1]) | (c_o[1:] != c_o[:-1]))
+                & (bp_o[1:] == bp_o[:-1])).any():
+            order = np.argsort(bp, kind="stable")
+            a_o, c_o, bp_o = a_s[order], c_s[order], bp[order]
+        # slot k boxes the m - k largest breakpoints, and its interval runs
+        # from bp_o[k - 1] to bp_o[k] (inf at k = m).  Only slots k0..m can
+        # hold: the boxed mass of the others reaches 1, and slot 0 has no
+        # uncapped mass.  np.add.accumulate is np.cumsum, a sequential sum
+        m = bp_o.size
+        boxed = np.add.accumulate((c_o * c_o)[::-1])       # of the i + 1 largest
+        k0 = max(m - int(np.searchsorted(boxed, 1.0)), 1)
+        uncapped = np.add.accumulate(a_o * a_o)[k0 - 1:]
+        room = np.ones(uncapped.size)                       # 1 - boxed mass
+        np.subtract(1.0, boxed[:m - k0][::-1], out=room[:-1])
+        rho = np.sqrt(uncapped / room)
+        hi = np.append(bp_o[k0:], np.inf)
+        consistent = ((uncapped != 0.0) & (bp_o[k0 - 1:] * (1.0 - 1e-12) <= rho)
+                      & (rho <= hi * (1.0 + 1e-12) + 1e-300))
+        hits = np.flatnonzero(consistent)
+        if hits.size:
+            i = hits[-1]
+            k = k0 + i
+            r = float(rho[i])
+            capped = np.add.accumulate((c_o[k:] * a_o[k:])[::-1])[-1] if k < m else 0.0
+            value = float(capped + uncapped[i] / r)
+        elif mass - 1.0 > 2.0 * (m + 8) * np.finfo(float).eps:
+            raise RuntimeError("g2 breakpoint scan found no consistent interval")
+    if r is None:
+        value = float(np.sum(c_s * a_s))
+        z_s = np.copysign(c_s, x_s)
+    else:
+        z_s = np.minimum(a_s / r, c_s)
+        if math.isfinite(r):
+            np.copysign(z_s, x_s, out=z_s)
+        else:                                  # inf / inf is NaN, whose bits copysign would change
+            z_s *= np.sign(x_s)
+    if support is None:
+        return value, z_s
     z = np.zeros_like(a)
-    support = a > 0
-    if not support.any():
-        return 0.0, z
-    if float(np.sum(c[support] ** 2)) <= 1.0:
-        z[support] = np.sign(x[support]) * c[support]
-        return float(np.sum(c[support] * a[support])), z
-    a_s, c_s = a[support], c[support]
-    breakpoints = a_s / c_s
-    order = np.argsort(breakpoints, kind="stable")
-    a_o, c_o, bp_o = a_s[order], c_s[order], breakpoints[order]
-    cum_a2 = np.concatenate(([0.0], np.cumsum(a_o ** 2)))                    # uncapped mass
-    cum_c2_rev = np.concatenate((np.cumsum((c_o ** 2)[::-1])[::-1], [0.0]))  # capped mass
-    cum_ca_rev = np.concatenate((np.cumsum((c_o * a_o)[::-1])[::-1], [0.0]))
-    # entry k: the k smallest breakpoints uncapped, the rest at the box; the
-    # answer is the largest k whose rho falls inside its own interval
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.sqrt(cum_a2 / (1.0 - cum_c2_rev))
-    lo = np.concatenate(([0.0], bp_o))
-    hi = np.concatenate((bp_o, [np.inf]))
-    consistent = ((cum_c2_rev < 1.0) & (cum_a2 != 0.0)
-                  & (lo * (1.0 - 1e-12) <= rho) & (rho <= hi * (1.0 + 1e-12) + 1e-300))
-    ks = np.flatnonzero(consistent)
-    if not ks.size:
-        raise RuntimeError("g2 breakpoint scan found no consistent interval")  # pragma: no cover
-    k = ks[-1]
-    r = float(rho[k])
-    value = float(cum_ca_rev[k] + cum_a2[k] / r)
-    z[support] = np.minimum(a_s / r, c_s) * np.sign(x[support])
+    z[support] = z_s
     return value, z
 
 
@@ -276,7 +335,14 @@ def g1(x: np.ndarray, c: np.ndarray) -> float:
 
 
 def g2(x: np.ndarray, c: np.ndarray) -> float:
-    """min over x = u + v of ||u||_2 + sum_j c_j |v_j| (O(n log n))."""
+    """min over x = u + v of ||u||_2 + sum_j c_j |v_j|.
+
+    One O(n log n) default sort of the breakpoints |x_j| / c_j (a stable one
+    again only when equal breakpoints mix different (|x_j|, c_j)), O(n)
+    prefix sums, and a scan of only the L + 1 largest breakpoints, where L
+    is the count whose c^2 mass from the end stays below 1; no sort at all
+    when sum_j c_j^2 <= 1.
+    """
     return _g2_with_dual(x, _check_weights(c))[0]
 
 
@@ -346,6 +412,7 @@ class Objective:
         self._l1_residual = spec.pair.residual_norm == "l1"
         self._weights = None if spec.pair is NormPair.L2_L2 else spec.weights(P.n)
         self._g1_guard = _g1_guard(self._weights) if spec.pair is NormPair.L1_G1 else None
+        self._g2_mass = _g2_mass(self._weights) if spec.pair is NormPair.L2_G2 else None
 
     def _penalty_with_dual(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Penalty-norm value and a subgradient of it at x."""
@@ -356,7 +423,7 @@ class Objective:
             return nx, x / nx
         if self.spec.pair is NormPair.L1_G1:
             return _g1_with_dual(x, self._weights, self._g1_guard)
-        return _g2_with_dual(x, self._weights)
+        return _g2_with_dual(x, self._weights, self._g2_mass)
 
     def evaluate(self, x: np.ndarray, with_subgradient: bool = False
                  ) -> tuple[ObjectiveValue, np.ndarray | None]:

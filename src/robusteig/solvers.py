@@ -178,9 +178,14 @@ def regularized_power_method(P: SparseStochasticMatrix, spec: UncertaintySpec,
 
 def _entropic_step(x: np.ndarray, g: np.ndarray, step: float) -> np.ndarray:
     # multiplicative update; shifting g by its max keeps exp() in range and
-    # cancels in the normalization
-    w = x * np.exp(-step * (g - g.max()))
-    return w / w.sum()
+    # cancels in the normalization.  In place on one temporary: the same bits
+    # as x * exp(-step (g - max g)) / sum, without four more n-arrays
+    w = g - g.max()
+    w *= -step
+    np.exp(w, out=w)
+    w *= x
+    w /= w.sum()
+    return w
 
 
 def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,

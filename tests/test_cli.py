@@ -109,6 +109,17 @@ class TestRank:
         robust = capsys.readouterr()
         assert robust.err == ""
 
+    @pytest.mark.parametrize("solver", ["algorithm1", "pagerank"])
+    def test_l2g2_weights_that_fill_the_ball_up_to_rounding(self, capsys, solver):
+        # 400 * 0.05^2 is 1 up to rounding: g2 is the box value, not an error
+        code = main(["rank", "--model", "model2", "--n", "20", "--pair", "l2g2",
+                     "--col-budget", "uniform:0.05", "--solver", solver])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "warning" in captured.err and "l2g2" in captured.err
+        assert sum(scores[0] for scores in parse_csv_scores(captured.out).values()) == \
+            pytest.approx(1.0, abs=1e-9)
+
 
 class TestCompare:
     def test_seven_node_nominal_vs_damped_and_robust(self, capsys, seven_node_file):

@@ -8,7 +8,7 @@ from robusteig import (NormPair, SparseStochasticMatrix, UncertaintySpec, g1,
                        uniform_vector)
 from robusteig.norms import _g1_with_dual, _g2_with_dual
 
-from conftest import SEVEN_NODE_XBAR, random_stochastic_dense
+from conftest import SEVEN_NODE_XBAR, _g2_scan_loop, random_stochastic_dense
 
 
 def _random_case(rng, n_max=8):
@@ -26,33 +26,29 @@ def _tied_case(rng, n_max=8):
     return x, c
 
 
-def _g2_scan_loop(x, c):
-    """_g2_with_dual with its breakpoint scan as a loop from k = m down to 0."""
-    a = np.abs(x)
-    z = np.zeros_like(a)
-    support = a > 0
-    if not support.any():
-        return 0.0, z
-    if float(np.sum(c[support] ** 2)) <= 1.0:
+def _g2_loop_or_box(x, c):
+    """_g2_scan_loop, and the box value where it finds no consistent interval.
+
+    The loop fails so only where the weights fill the ball up to rounding,
+    and g2 then is sum_j c_j |x_j|, with z = c sign(x) on the support.
+    """
+    try:
+        return _g2_scan_loop(x, c)
+    except RuntimeError:
+        support = np.abs(x) > 0
+        assert abs(float(np.sum(c[support] ** 2)) - 1.0) <= 1e-12
+        z = np.zeros_like(x)
         z[support] = np.sign(x[support]) * c[support]
-        return float(np.sum(c[support] * a[support])), z
-    a_s, c_s = a[support], c[support]
-    order = np.argsort(a_s / c_s, kind="stable")
-    a_o, c_o, bp_o = a_s[order], c_s[order], (a_s / c_s)[order]
-    m = a_o.size
-    cum_a2 = np.concatenate(([0.0], np.cumsum(a_o ** 2)))
-    cum_c2_rev = np.concatenate((np.cumsum((c_o ** 2)[::-1])[::-1], [0.0]))
-    cum_ca_rev = np.concatenate((np.cumsum((c_o * a_o)[::-1])[::-1], [0.0]))
-    for k in range(m, -1, -1):
-        if cum_c2_rev[k] >= 1.0 or cum_a2[k] == 0.0:
-            continue
-        rho = float(np.sqrt(cum_a2[k] / (1.0 - cum_c2_rev[k])))
-        lo = bp_o[k - 1] if k >= 1 else 0.0
-        hi = bp_o[k] if k < m else np.inf
-        if lo * (1.0 - 1e-12) <= rho <= hi * (1.0 + 1e-12) + 1e-300:
-            z[support] = np.minimum(a_s / rho, c_s) * np.sign(x[support])
-            return float(cum_ca_rev[k] + cum_a2[k] / rho), z
-    raise RuntimeError("no consistent interval")
+        return float(np.sum(c[support] * np.abs(x[support]))), z
+
+
+def _g2_outcome(g2_with_dual, x, c):
+    """Value and z as bytes, or the type of the exception raised."""
+    try:
+        value, z = g2_with_dual(x, c)
+    except Exception as exc:
+        return type(exc)
+    return np.float64(value).tobytes(), z.tobytes()
 
 
 def _g1_scan(x, c):
@@ -177,13 +173,42 @@ class TestOracles:
 
     def test_g2_scan_matches_the_loop_bit_for_bit(self):
         rng = np.random.default_rng(12)
-        for case in (_random_case, _tied_case):
-            for _ in range(500):
-                x, c = case(rng)
-                value, z = _g2_with_dual(x, c)
-                want_value, want_z = _g2_scan_loop(x, c)
-                assert value == want_value
-                assert z.tobytes() == want_z.tobytes()
+        cases = [case(rng) for case in (_random_case, _tied_case) for _ in range(500)]
+        for n in (1, 2, 7, 400, 2000, 3000):
+            for _, x in _g1_x_families(rng, n):
+                cases += [(x, c) for _, c in _g1_c_families(rng, n)]
+        for n in (3, 7, 40, 400, 2000):
+            # x_j = t c_j: breakpoints t tie across different c_j, so only the
+            # stable sort gives the loop's order; with t a power of 2 and c_j
+            # drawn, the sums over a run round differently in another order
+            c = rng.choice([0.25, 0.5, 1.0], n)
+            t = rng.integers(1, 4, n).astype(float)
+            cases += [(t * c, c), (-t * c, c), (t * c * rng.choice([-1.0, 0.0, 1.0], n), c)]
+            c = rng.uniform(0.02, 1.0, n)
+            t = 2.0 ** rng.integers(-2, 2, n)
+            cases += [(t * c, c), (t * c * rng.choice([-1.0, 1.0], n), c)]
+            x = rng.standard_normal(n)
+            for bad in ([np.nan], [np.inf], [-np.inf], [np.nan, np.inf], [np.inf, np.inf]):
+                y = x.copy()
+                y[rng.choice(n, len(bad), replace=False)] = bad
+                cases += [(y, c), (y, np.full(n, 0.3)), (y, np.full(n, 1.0 / n))]
+        with np.errstate(invalid="ignore"):    # inf / inf where x holds inf
+            for x, c in cases:
+                assert _g2_outcome(_g2_with_dual, x, c) == _g2_outcome(_g2_loop_or_box, x, c)
+
+    @pytest.mark.parametrize("n, weight", [(400, 0.05), (1600, 0.025), (100, 0.1)])
+    def test_g2_weights_that_fill_the_ball_up_to_rounding(self, n, weight):
+        # n weight^2 is 1, but np.sum gives 1 + 4e-16: the box test passes the
+        # weights to the breakpoint scan, which at the first two sizes finds no
+        # consistent interval; g2 is then the box value sum_j c_j |x_j|
+        rng = np.random.default_rng(15)
+        c = np.full(n, weight)
+        for x in (rng.dirichlet(np.ones(n)), rng.standard_normal(n), rng.random(n) ** 8):
+            value, z = _g2_with_dual(x, c)
+            assert value == pytest.approx(g_oracle(x, c, "g2"), rel=1e-12)
+            assert value == pytest.approx(float(np.sum(c * np.abs(x))), rel=1e-12)
+            np.testing.assert_allclose(z, np.sign(x) * c, rtol=1e-10)
+            assert np.linalg.norm(z) <= 1.0 + 1e-12
 
     def test_g1_selection_matches_the_full_scan_bit_for_bit(self):
         rng = np.random.default_rng(13)
@@ -216,6 +241,29 @@ class TestOracles:
         monkeypatch.undo()
         assert sizes and max(sizes) <= 1024
         assert value == _g1_scan(x, c)[0]
+
+    def test_g2_sorts_once_without_stable_ties(self, monkeypatch):
+        # a heavy-tailed iterate over inv-degree weights: no breakpoints tie,
+        # so one default sort is certified and the stable sort never runs
+        rng = np.random.default_rng(16)
+        n = 200_000
+        u = rng.random(n) ** 8
+        x = u / u.sum()
+        c = 1.0 / np.maximum(1, rng.poisson(4, n))
+        kinds = []
+        argsort = np.argsort
+
+        def counted(a, *args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        value, z = _g2_with_dual(x, c)
+        monkeypatch.undo()
+        assert kinds == [None]
+        want_value, want_z = _g2_scan_loop(x, c)
+        assert value == want_value
+        assert z.tobytes() == want_z.tobytes()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

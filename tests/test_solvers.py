@@ -7,10 +7,14 @@ from robusteig import (NormPair, SolverConfig, SparseStochasticMatrix,
                        grid_oracle_minimize, mirror_descent_minimize,
                        pagerank, phi_value, regularized_power_method,
                        residual, suggest_epsilon, uniform_vector)
+from robusteig import norms
+from robusteig.graph_matrix import out_degrees
 from robusteig.models import GridModelSpec, ModelVariant, model2_exact_scores
-from robusteig.solvers import STOP_MAX_ITER, STOP_PHI_INCREASE, STOP_TOLERANCE
+from robusteig.solvers import (STOP_MAX_ITER, STOP_PHI_INCREASE, STOP_TOLERANCE,
+                               _entropic_step)
 
-from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, random_stochastic_dense
+from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, _g2_scan_loop,
+                      random_stochastic_dense)
 
 L2L2 = UncertaintySpec(1.0, NormPair.L2_L2)
 
@@ -258,6 +262,36 @@ class TestMirrorDescent:
         spec = UncertaintySpec(1.0, NormPair.L1_G1, 0.3)
         report = mirror_descent_minimize(seven_node, spec, SolverConfig(max_iter=200))
         assert report.objective.total <= 20 / 69 * (1 + 1e-6)
+
+    def test_l2g2_trajectory_matches_the_loop_scan(self, monkeypatch):
+        # a web-like graph as the benchmark draws them: Poisson(4) out-degrees,
+        # 5% dangling, Zipf popularity; inv-degree budgets
+        rng = np.random.default_rng(17)
+        n = 300
+        degree = np.maximum(1, rng.poisson(4.0, n))
+        degree[rng.random(n) < 0.05] = 0
+        popularity = 1.0 / rng.permutation(np.arange(1, n + 1))
+        src = np.repeat(np.arange(n), degree)
+        dst = rng.choice(n, size=src.size, p=popularity / popularity.sum())
+        P = from_edge_list(edge_list(list(zip(src.tolist(), dst.tolist())), n))
+        spec = UncertaintySpec(1.0, NormPair.L2_G2, 1.0 / out_degrees(P).astype(float))
+        config = SolverConfig(md_epochs=2)
+        report = mirror_descent_minimize(P, spec, config)
+        monkeypatch.setattr(norms, "_g2_with_dual", lambda x, c, mass=None: _g2_scan_loop(x, c))
+        want = mirror_descent_minimize(P, spec, config)
+        assert report.iterations_used == want.iterations_used == 400
+        assert report.final.tobytes() == want.final.tobytes()
+        assert report.phi_history == want.phi_history
+
+    def test_entropic_step_matches_the_expression_bit_for_bit(self):
+        rng = np.random.default_rng(18)
+        n = 100_000
+        x = rng.dirichlet(np.ones(n))
+        g = rng.standard_normal(n) * 3.0
+        for scale in (1e-3, 0.5, 2.0):           # steps as mirror descent scales them
+            step = scale / float(np.abs(g).max())
+            w = x * np.exp(-step * (g - g.max()))
+            assert _entropic_step(x, g, step).tobytes() == (w / w.sum()).tobytes()
 
     def test_works_for_all_norm_pairs(self, seven_node):
         for pair in NormPair:
