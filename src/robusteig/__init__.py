@@ -26,7 +26,7 @@ from .norms import (NormPair, ObjectiveValue, UncertaintySpec, g1, g2,
 from .perturbation import (InfeasiblePerturbationError, PerturbationSample,
                            Rank1Perturbation, check_perturbation_bound,
                            empirical_phi_lower_bound, sample_perturbation,
-                           worst_case_rank1)
+                           sampled_residuals, worst_case_rank1)
 from .solvers import (SolveReport, SolverConfig, averaged_power,
                       dominant_eigenvector, grid_oracle_minimize,
                       mirror_descent_minimize, pagerank,
@@ -45,7 +45,7 @@ __all__ = [
     "phi", "phi_value", "subgradient_phi",
     "InfeasiblePerturbationError", "PerturbationSample", "Rank1Perturbation",
     "check_perturbation_bound", "empirical_phi_lower_bound",
-    "sample_perturbation", "worst_case_rank1",
+    "sample_perturbation", "sampled_residuals", "worst_case_rank1",
     "SolveReport", "SolverConfig", "averaged_power", "dominant_eigenvector",
     "grid_oracle_minimize", "mirror_descent_minimize", "pagerank",
     "regularized_power_method", "suggest_epsilon",

@@ -265,15 +265,8 @@ def cmd_stress(args, out) -> int:
     spec = UncertaintySpec(base.epsilon, pair_for_set(set_name), base.column_budgets)
     x = _run_solver(args.solver, P, base, args).final
 
-    dense = P.to_dense()
-    ord_ = 1 if set_name == "xi1" else 2
-    realized = []
-    all_valid = True
-    for i in range(args.samples):
-        sample = perturbation.sample_perturbation(P, spec, set_name, args.seed + i)
-        realized.append(float(np.linalg.norm((dense + sample.xi) @ x - x, ord=ord_)))
-        if sample.stochastic_ok is False:
-            all_valid = False
+    realized, all_valid = perturbation.sampled_residuals(P, x, spec, set_name,
+                                                         args.samples, args.seed)
     bound = phi(P, x, spec).total
     max_realized = max(realized) if realized else 0.0
     doc = {

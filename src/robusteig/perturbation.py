@@ -65,15 +65,28 @@ class Rank1Perturbation:
 
 @dataclass(frozen=True)
 class PerturbationSample:
-    """A feasible xi with its measured norms (the feasibility certificate)."""
+    """A feasible xi; its norms, the feasibility certificate, are measured
+    from xi when read, so a sample costs no array beyond xi itself."""
 
     xi: np.ndarray
     set_name: str
-    max_column_sum: float
-    max_column_l1: float
-    total_l1: float
-    frobenius: float
     stochastic_ok: bool | None
+
+    @property
+    def max_column_sum(self) -> float:
+        return float(np.abs(self.xi.sum(axis=0)).max())
+
+    @property
+    def max_column_l1(self) -> float:
+        return float(np.abs(self.xi).sum(axis=0).max())
+
+    @property
+    def total_l1(self) -> float:
+        return float(np.abs(self.xi).sum())
+
+    @property
+    def frobenius(self) -> float:
+        return float(np.linalg.norm(self.xi))
 
 
 @dataclass(frozen=True)
@@ -157,8 +170,12 @@ def check_perturbation_bound(a: np.ndarray, b: np.ndarray, eps: float,
     )
 
 
-def _column_supports(P: SparseStochasticMatrix) -> list[np.ndarray]:
-    """Row indices carrying mass in each column (dangling: all rows)."""
+def _column_supports(P: SparseStochasticMatrix,
+                     keep: np.ndarray | None = None) -> list[np.ndarray]:
+    """Row indices carrying mass in each column (dangling: all rows).
+
+    keep, a mask over the stored entries, leaves out those where it is False.
+    """
     links = P._links
     supports = []
     all_rows = np.arange(P.n)
@@ -166,8 +183,25 @@ def _column_supports(P: SparseStochasticMatrix) -> list[np.ndarray]:
         if j in P.dangling_columns:
             supports.append(all_rows)
         else:
-            supports.append(links.indices[links.indptr[j]:links.indptr[j + 1]])
+            lo, hi = links.indptr[j], links.indptr[j + 1]
+            rows = links.indices[lo:hi]
+            supports.append(rows if keep is None else rows[keep[lo:hi]])
     return supports
+
+
+def _lowest_entry(P: SparseStochasticMatrix, xi: np.ndarray, cols: np.ndarray) -> float:
+    """min (P + xi) over the entries that can be negative, without dense P.
+
+    Off the stored entries and the dangling columns (which store no links),
+    P is 0 and xi >= 0, so those entries cannot decide whether the min is
+    >= t for any t <= 0.  Rounding is monotone, so the dangling columns give
+    1/n + their least xi.  cols holds the column of each stored entry.
+    """
+    links = P._links
+    low = float((links.data + xi[links.indices, cols]).min()) if links.nnz else np.inf
+    if P.dangling_columns:
+        low = min(low, float(1.0 / P.n + xi.min(axis=0)[P._dangling_mask].min()))
+    return low
 
 
 def sample_perturbation(P: SparseStochasticMatrix, spec: UncertaintySpec,
@@ -178,16 +212,17 @@ def sample_perturbation(P: SparseStochasticMatrix, spec: UncertaintySpec,
     support, centered to zero sum and scaled inside the per-column budget,
     then rescaled to the total budget.  xif additionally forces P + xi
     stochastic by allowing only nonnegative off-support mass and halving xi
-    until P + xi >= 0.
+    until P + xi >= 0.  The returned xi is the only n x n float array drawn.
     """
     if set_name not in PERTURBATION_SETS:
         raise ValueError(f"unknown perturbation set {set_name!r}; "
                          f"expected one of {PERTURBATION_SETS}")
     rng = np.random.default_rng(rng_seed)
     n = P.n
-    xi = np.zeros((n, n))
+    stochastic_ok = None
 
     if set_name in ("xi1", "xi2"):
+        xi = np.zeros((n, n))
         budgets = spec.weights(n) * spec.epsilon     # eps_j
         for j, support in enumerate(_column_supports(P)):
             if support.size < 2:
@@ -209,42 +244,61 @@ def sample_perturbation(P: SparseStochasticMatrix, spec: UncertaintySpec,
         if nf > 0:
             xi *= rng.uniform(0.0, 1.0) * spec.epsilon / nf
     else:  # xif
-        dense = P.to_dense()
-        on_support = dense > 0
+        links = P._links
+        cols = np.repeat(np.arange(n), np.diff(links.indptr))
+        positive = links.data > 0
         xi = rng.standard_normal((n, n))
-        xi[~on_support] = np.abs(xi[~on_support])    # zero entries of P have no mass to lose
-        for j in range(n):
-            support = np.flatnonzero(on_support[:, j])
+        off_support = np.ones((n, n), dtype=bool)   # zero entries of P have no mass to lose
+        off_support[links.indices[positive], cols[positive]] = False
+        off_support[:, P._dangling_mask] = False
+        np.abs(xi, out=xi, where=off_support)
+        del off_support
+        for j, support in enumerate(_column_supports(P, positive)):
             xi[support, j] -= xi[:, j].sum() / support.size
         nf = float(np.linalg.norm(xi))
         if nf > 0:
             xi *= rng.uniform(0.0, 1.0) * spec.epsilon / nf
         for _ in range(60):
-            if (dense + xi).min() >= 0.0:
+            low = _lowest_entry(P, xi, cols)
+            if low >= 0.0:
                 break
             xi /= 2.0
         else:
             raise InfeasiblePerturbationError(
                 "could not shrink the perturbation into the stochastic set")
+        stochastic_ok = bool(low >= -FEASIBILITY_TOL
+                             and np.abs(xi.sum(axis=0)).max() <= FEASIBILITY_TOL)
 
-    col_sums = xi.sum(axis=0)
-    stochastic_ok = None
-    if set_name == "xif":
-        stochastic_ok = bool((dense + xi).min() >= -FEASIBILITY_TOL
-                             and np.abs(col_sums).max() <= FEASIBILITY_TOL)
-    return PerturbationSample(
-        xi=xi,
-        set_name=set_name,
-        max_column_sum=float(np.abs(col_sums).max()),
-        max_column_l1=float(np.abs(xi).sum(axis=0).max()),
-        total_l1=float(np.abs(xi).sum()),
-        frobenius=float(np.linalg.norm(xi)),
-        stochastic_ok=stochastic_ok,
-    )
+    return PerturbationSample(xi=xi, set_name=set_name, stochastic_ok=stochastic_ok)
 
 
-def _set_residual_norm(set_name: str) -> str:
-    return "l1" if set_name == "xi1" else "l2"
+def _residual_ord(set_name: str) -> int:
+    return 1 if set_name == "xi1" else 2
+
+
+def sampled_residuals(P: SparseStochasticMatrix, x: np.ndarray, spec: UncertaintySpec,
+                      set_name: str, n_samples: int = 1000,
+                      rng_seed: int = 0) -> tuple[list[float], bool]:
+    """Realized ||(P + xi) x - x|| for the samples rng_seed, rng_seed + 1, ...
+
+    The norm is l1 for xi1 and l2 otherwise.  Returns the per-sample values
+    and whether no sample reported itself infeasible.  Each sample is dropped
+    before the next is drawn, so one xi is alive at a time beside dense P.
+    """
+    x = np.asarray(x, dtype=float)
+    ord_ = _residual_ord(set_name)
+    dense = P.to_dense()
+    realized = []
+    all_feasible = True
+    for i in range(n_samples):
+        sample = sample_perturbation(P, spec, set_name, rng_seed + i)
+        all_feasible = all_feasible and sample.stochastic_ok is not False
+        perturbed = sample.xi
+        del sample
+        perturbed += dense                           # P + xi in the sample's own array
+        realized.append(float(np.linalg.norm(perturbed @ x - x, ord=ord_)))
+        del perturbed
+    return realized, all_feasible
 
 
 def empirical_phi_lower_bound(P: SparseStochasticMatrix, x: np.ndarray,
@@ -263,16 +317,12 @@ def empirical_phi_lower_bound(P: SparseStochasticMatrix, x: np.ndarray,
         raise ValueError(f"set {set_name!r} pairs with {expected_pair.value}, "
                          f"but spec uses {spec.pair.value}")
     x = np.asarray(x, dtype=float)
-    ord_ = 1 if _set_residual_norm(set_name) == "l1" else 2
-    dense = P.to_dense()
-    best = 0.0
-    for i in range(n_samples):
-        sample = sample_perturbation(P, spec, set_name, rng_seed + i)
-        value = float(np.linalg.norm((dense + sample.xi) @ x - x, ord=ord_))
-        best = max(best, value)
+    realized, _ = sampled_residuals(P, x, spec, set_name, n_samples, rng_seed)
+    best = max([0.0, *realized])
     if include_rank1:
+        ord_ = _residual_ord(set_name)
         xi_star = worst_case_rank1(P, x, spec.epsilon).materialize()
-        best = max(best, float(np.linalg.norm((dense + xi_star) @ x - x, ord=ord_)))
+        best = max(best, float(np.linalg.norm((P.to_dense() + xi_star) @ x - x, ord=ord_)))
     upper = phi_value(P, x, spec)
     if best > upper + 1e-9:
         raise RuntimeError(f"sampled residual {best} exceeds the convex bound {upper}; "

@@ -224,7 +224,7 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
     def advance(x, g, step_scale):
         """One step from x along its subgradient g; (None, None) if g = 0."""
         nonlocal best_x, best_value, best_g, iterations
-        g_inf = float(np.abs(g).max())
+        g_inf = float(max(g.max(), -g.min()))        # ||g||_inf, no n-array
         if g_inf == 0.0:
             return None, None
         x = _entropic_step(x, g, step_scale / g_inf)

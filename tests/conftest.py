@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from robusteig import edge_list, from_edge_list
+from robusteig.perturbation import (FEASIBILITY_TOL, PERTURBATION_SETS,
+                                    InfeasiblePerturbationError)
 
 # the 7-node test graph (0-based edges)
 SEVEN_NODE_EDGES = [(0, 1), (0, 2), (1, 2), (2, 0), (2, 4), (2, 6),
@@ -32,6 +36,18 @@ def random_stochastic_dense(n, seed, low=0.0, high=1.0):
     rng = np.random.default_rng(seed)
     A = rng.uniform(low, high, (n, n))
     return A / A.sum(axis=0)
+
+
+def web_graph(n, seed):
+    """A web-like graph as the benchmark draws them: Poisson(4) out-degrees,
+    5% dangling, Zipf popularity."""
+    rng = np.random.default_rng(seed)
+    degree = np.maximum(1, rng.poisson(4.0, n))
+    degree[rng.random(n) < 0.05] = 0
+    popularity = 1.0 / rng.permutation(np.arange(1, n + 1))
+    src = np.repeat(np.arange(n), degree)
+    dst = rng.choice(n, size=src.size, p=popularity / popularity.sum())
+    return from_edge_list(edge_list(list(zip(src.tolist(), dst.tolist())), n))
 
 
 def _g2_scan_loop(x, c):
@@ -65,3 +81,100 @@ def _g2_scan_loop(x, c):
             z[support] = np.minimum(a_s / rho, c_s) * np.sign(x[support])
             return float(cum_ca_rev[k] + cum_a2[k] / rho), z
     raise RuntimeError("no consistent interval")
+
+
+def _column_supports_dense(P):
+    links = P._links
+    supports = []
+    all_rows = np.arange(P.n)
+    for j in range(P.n):
+        if j in P.dangling_columns:
+            supports.append(all_rows)
+        else:
+            supports.append(links.indices[links.indptr[j]:links.indptr[j + 1]])
+    return supports
+
+
+def _sample_perturbation_dense(P, spec, set_name, rng_seed=0):
+    """The sampler on dense n x n temporaries: a dense P, a support mask and
+    masked copies, a discarded zero array, and every norm computed eagerly.
+
+    The reference that perturbation.sample_perturbation, which allocates xi
+    alone, must match bit for bit.
+    """
+    if set_name not in PERTURBATION_SETS:
+        raise ValueError(f"unknown perturbation set {set_name!r}; "
+                         f"expected one of {PERTURBATION_SETS}")
+    rng = np.random.default_rng(rng_seed)
+    n = P.n
+    xi = np.zeros((n, n))
+
+    if set_name in ("xi1", "xi2"):
+        budgets = spec.weights(n) * spec.epsilon     # eps_j
+        for j, support in enumerate(_column_supports_dense(P)):
+            if support.size < 2:
+                continue                             # no nonzero zero-sum vector fits
+            v = rng.standard_normal(support.size)
+            v -= v.mean()
+            l1 = float(np.abs(v).sum())
+            if l1 == 0.0:
+                continue
+            v *= rng.uniform(0.0, 1.0) * budgets[j] / l1
+            xi[support, j] = v
+        total = float(np.abs(xi).sum()) if set_name == "xi1" else float(np.linalg.norm(xi))
+        if total > spec.epsilon:
+            xi *= spec.epsilon / total
+    elif set_name == "xif_ball":
+        xi = rng.standard_normal((n, n))
+        xi -= xi.mean(axis=0, keepdims=True)
+        nf = float(np.linalg.norm(xi))
+        if nf > 0:
+            xi *= rng.uniform(0.0, 1.0) * spec.epsilon / nf
+    else:  # xif
+        dense = P.to_dense()
+        on_support = dense > 0
+        xi = rng.standard_normal((n, n))
+        xi[~on_support] = np.abs(xi[~on_support])    # zero entries of P have no mass to lose
+        for j in range(n):
+            support = np.flatnonzero(on_support[:, j])
+            xi[support, j] -= xi[:, j].sum() / support.size
+        nf = float(np.linalg.norm(xi))
+        if nf > 0:
+            xi *= rng.uniform(0.0, 1.0) * spec.epsilon / nf
+        for _ in range(60):
+            if (dense + xi).min() >= 0.0:
+                break
+            xi /= 2.0
+        else:
+            raise InfeasiblePerturbationError(
+                "could not shrink the perturbation into the stochastic set")
+
+    col_sums = xi.sum(axis=0)
+    stochastic_ok = None
+    if set_name == "xif":
+        stochastic_ok = bool((dense + xi).min() >= -FEASIBILITY_TOL
+                             and np.abs(col_sums).max() <= FEASIBILITY_TOL)
+    return SimpleNamespace(
+        xi=xi,
+        set_name=set_name,
+        max_column_sum=float(np.abs(col_sums).max()),
+        max_column_l1=float(np.abs(xi).sum(axis=0).max()),
+        total_l1=float(np.abs(xi).sum()),
+        frobenius=float(np.linalg.norm(xi)),
+        stochastic_ok=stochastic_ok,
+    )
+
+
+def _stress_realized_dense(P, x, spec, set_name, n_samples, rng_seed):
+    """The stress loop on the dense sampler: per-sample ||(P + xi) x - x||
+    (l1 for xi1, l2 otherwise) and whether every sample was feasible."""
+    dense = P.to_dense()
+    ord_ = 1 if set_name == "xi1" else 2
+    realized = []
+    all_valid = True
+    for i in range(n_samples):
+        sample = _sample_perturbation_dense(P, spec, set_name, rng_seed + i)
+        realized.append(float(np.linalg.norm((dense + sample.xi) @ x - x, ord=ord_)))
+        if sample.stochastic_ok is False:
+            all_valid = False
+    return realized, all_valid

@@ -5,7 +5,7 @@ import pytest
 
 from robusteig.cli import main
 
-from conftest import SEVEN_NODE_EDGES
+from conftest import SEVEN_NODE_EDGES, _stress_realized_dense
 
 
 @pytest.fixture()
@@ -234,6 +234,21 @@ class TestStress:
         assert lines[0] == "sample,realized"
         assert sum(1 for l in lines if not l.startswith(("sample", "#"))) == 10
         assert any(l.startswith("# bound_satisfied,True") for l in lines)
+
+
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    @pytest.mark.parametrize("xi_set", ("xi1", "xi2", "xif", "xif-ball"))
+    def test_same_stdout_as_the_dense_stress_loop(self, capsys, seven_node_file,
+                                                  monkeypatch, xi_set, fmt):
+        from robusteig import cli
+        argv = ("stress", "--input", seven_node_file, "--solver", "pagerank",
+                "--set", xi_set, "--col-budget", "inv-degree", "--samples", "25",
+                "--seed", "3", "--format", fmt)
+        code, out = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli.perturbation, "sampled_residuals", _stress_realized_dense)
+        want_code, want = run_cli(capsys, *argv)
+        assert code == want_code == 0
+        assert out == want
 
 
 class TestExitCodes:

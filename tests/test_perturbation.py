@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from robusteig import (NormPair, SparseStochasticMatrix, UncertaintySpec,
+from robusteig import (InfeasiblePerturbationError, NormPair,
+                       SparseStochasticMatrix, UncertaintySpec,
                        check_perturbation_bound, edge_list,
-                       empirical_phi_lower_bound, from_edge_list, phi_value,
-                       sample_perturbation, uniform_vector, validate,
-                       worst_case_rank1)
+                       empirical_phi_lower_bound, from_edge_list, generate,
+                       phi_value, sample_perturbation, uniform_vector,
+                       validate, worst_case_rank1)
 from robusteig.graph_matrix import out_degrees
+from robusteig.models import GridModelSpec, ModelVariant
 from robusteig.perturbation import PERTURBATION_SETS, pair_for_set
 
-from conftest import SEVEN_NODE_EDGES, random_stochastic_dense
+from conftest import (SEVEN_NODE_EDGES, _sample_perturbation_dense,
+                      random_stochastic_dense, web_graph)
 
 SWAP = SparseStochasticMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
 
@@ -141,6 +146,88 @@ class TestSamplePerturbation:
     def test_unknown_set_rejected(self, seven_node):
         with pytest.raises(ValueError):
             sample_perturbation(seven_node, UncertaintySpec(1.0), "xi9")
+
+
+def _dense_with_zeros(n, seed):
+    A = random_stochastic_dense(n, seed)
+    A[np.random.default_rng(seed).random((n, n)) < 0.6] = 0.0
+    A[0] += 0.1                                  # no column left empty
+    return SparseStochasticMatrix.from_dense(A / A.sum(axis=0))
+
+
+def _dense_with_a_negative_entry(n, seed):
+    # a stored entry the feasibility check must see but the support leaves out
+    A = random_stochastic_dense(n, seed)
+    A[1, 0] += A[0, 0] + 0.002
+    A[0, 0] = -0.002
+    return SparseStochasticMatrix.from_dense(A)
+
+
+PARITY_MATRICES = {
+    "seven_node": lambda: from_edge_list(edge_list(SEVEN_NODE_EDGES, 7)),
+    "web_300": lambda: web_graph(300, 3),        # 22 dangling columns
+    "model2_grid": lambda: generate(GridModelSpec(20, ModelVariant.MODEL2)),
+    "dense_with_zeros": lambda: _dense_with_zeros(12, 4),
+    "dense_positive": lambda: SparseStochasticMatrix.from_dense(
+        random_stochastic_dense(9, 5, low=0.1)),
+    "dense_negative": lambda: _dense_with_a_negative_entry(6, 6),
+}
+
+
+def _sample_bits(sampler, *args):
+    try:
+        sample = sampler(*args)
+    except InfeasiblePerturbationError:
+        return "infeasible"
+    return (sample.xi.tobytes(), sample.stochastic_ok, sample.max_column_sum,
+            sample.max_column_l1, sample.total_l1, sample.frobenius)
+
+
+class TestSamplerParity:
+    """sample_perturbation, on xi alone, against the dense-temporary sampler."""
+
+    @pytest.mark.parametrize("matrix", PARITY_MATRICES)
+    @pytest.mark.parametrize("set_name", PERTURBATION_SETS)
+    def test_same_bits_as_the_dense_sampler(self, matrix, set_name):
+        P = PARITY_MATRICES[matrix]()
+        for eps in (0.1, 1.0, 10.0):
+            spec = UncertaintySpec(eps, pair_for_set(set_name))
+            for seed in range(3):
+                args = (P, spec, set_name, seed)
+                assert (_sample_bits(sample_perturbation, *args)
+                        == _sample_bits(_sample_perturbation_dense, *args))
+
+    def test_halved_sample_keeps_its_bits(self, seven_node):
+        spec = UncertaintySpec(10.0, NormPair.L2_L2)
+        xi = sample_perturbation(seven_node, spec, "xif", rng_seed=0).xi
+        # twice the returned xi is the draw before the last halving: infeasible
+        assert (seven_node.to_dense() + 2.0 * xi).min() < 0.0
+        args = (seven_node, spec, "xif", 0)
+        assert (_sample_bits(sample_perturbation, *args)
+                == _sample_bits(_sample_perturbation_dense, *args))
+
+    def test_infeasible_where_the_dense_sampler_is(self):
+        # a negative stored entry: halving never lifts P + xi to >= 0
+        P = SparseStochasticMatrix.from_dense([[6.0, 0.5], [-5.0, 0.5]])
+        spec = UncertaintySpec(1.0, NormPair.L2_L2)
+        with pytest.raises(InfeasiblePerturbationError):
+            _sample_perturbation_dense(P, spec, "xif", rng_seed=0)
+        with pytest.raises(InfeasiblePerturbationError):
+            sample_perturbation(P, spec, "xif", rng_seed=0)
+
+    @pytest.mark.parametrize("set_name", ("xi2", "xif", "xif_ball"))
+    def test_one_sample_holds_about_one_n_by_n_array(self, set_name):
+        n = 1000
+        P = web_graph(n, 7)
+        spec = UncertaintySpec(1.0, pair_for_set(set_name))
+        tracemalloc.start()
+        try:
+            sample = sample_perturbation(P, spec, set_name, rng_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.xi.nbytes == 8 * n * n
+        assert peak <= 1.2 * 8 * n * n
 
 
 class TestEmpiricalLowerBound:

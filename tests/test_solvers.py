@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,14 @@ from robusteig import (NormPair, SolverConfig, SparseStochasticMatrix,
                        grid_oracle_minimize, mirror_descent_minimize,
                        pagerank, phi_value, regularized_power_method,
                        residual, suggest_epsilon, uniform_vector)
-from robusteig import norms
+from robusteig import norms, solvers
 from robusteig.graph_matrix import out_degrees
 from robusteig.models import GridModelSpec, ModelVariant, model2_exact_scores
 from robusteig.solvers import (STOP_MAX_ITER, STOP_PHI_INCREASE, STOP_TOLERANCE,
                                _entropic_step)
 
 from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, _g2_scan_loop,
-                      random_stochastic_dense)
+                      random_stochastic_dense, web_graph)
 
 L2L2 = UncertaintySpec(1.0, NormPair.L2_L2)
 
@@ -264,22 +266,37 @@ class TestMirrorDescent:
         assert report.objective.total <= 20 / 69 * (1 + 1e-6)
 
     def test_l2g2_trajectory_matches_the_loop_scan(self, monkeypatch):
-        # a web-like graph as the benchmark draws them: Poisson(4) out-degrees,
-        # 5% dangling, Zipf popularity; inv-degree budgets
-        rng = np.random.default_rng(17)
-        n = 300
-        degree = np.maximum(1, rng.poisson(4.0, n))
-        degree[rng.random(n) < 0.05] = 0
-        popularity = 1.0 / rng.permutation(np.arange(1, n + 1))
-        src = np.repeat(np.arange(n), degree)
-        dst = rng.choice(n, size=src.size, p=popularity / popularity.sum())
-        P = from_edge_list(edge_list(list(zip(src.tolist(), dst.tolist())), n))
+        P = web_graph(300, 17)
         spec = UncertaintySpec(1.0, NormPair.L2_G2, 1.0 / out_degrees(P).astype(float))
         config = SolverConfig(md_epochs=2)
         report = mirror_descent_minimize(P, spec, config)
         monkeypatch.setattr(norms, "_g2_with_dual", lambda x, c, mass=None: _g2_scan_loop(x, c))
         want = mirror_descent_minimize(P, spec, config)
         assert report.iterations_used == want.iterations_used == 400
+        assert report.final.tobytes() == want.final.tobytes()
+        assert report.phi_history == want.phi_history
+
+    @pytest.mark.parametrize("pair, eps", [(NormPair.L2_L2, 0.01), (NormPair.L1_G1, 0.3),
+                                           (NormPair.L2_G2, 0.01)])
+    def test_step_scale_keeps_the_trajectory(self, monkeypatch, pair, eps):
+        # each step against one scaled by np.abs(g).max(), the epoch's gamma
+        # taken from the count of steps so far; in each case some steps have
+        # -min g > max g and others the reverse
+        P = (from_edge_list(edge_list(SEVEN_NODE_EDGES, 7)) if pair is NormPair.L1_G1
+             else web_graph(300, 19))
+        spec = UncertaintySpec(eps, pair, 0.3)
+        config = SolverConfig(md_epochs=3, md_iters_per_epoch=60)
+        x0 = np.random.default_rng(20).dirichlet(np.ones(P.n))    # no warm start
+        report = mirror_descent_minimize(P, spec, config, x0)
+        steps = itertools.count()
+
+        def abs_max_step(x, g, step):
+            gamma = config.gamma0 / 2.0 ** (next(steps) // config.md_iters_per_epoch)
+            return _entropic_step(x, g, gamma / float(np.abs(g).max()))
+
+        monkeypatch.setattr(solvers, "_entropic_step", abs_max_step)
+        want = mirror_descent_minimize(P, spec, config, x0)
+        assert report.iterations_used == want.iterations_used == next(steps) == 180
         assert report.final.tobytes() == want.final.tobytes()
         assert report.phi_history == want.phi_history
 
