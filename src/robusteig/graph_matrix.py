@@ -143,8 +143,11 @@ class SparseStochasticMatrix:
         # CSR view of the transpose: shares the data, index and pointer arrays
         self._links_t = links.T
         self.dangling_columns = frozenset(int(j) for j in dangling_columns)
-        self._dangling_mask = np.zeros(n, dtype=bool)
-        self._dangling_mask[list(self.dangling_columns)] = True
+        # ascending, so a gather reads what a boolean mask would, in its
+        # order, without a pass over all n entries
+        mask = np.zeros(n, dtype=bool)
+        mask[list(self.dangling_columns)] = True
+        self._dangling_index = np.flatnonzero(mask)
 
     @property
     def nnz(self) -> int:
@@ -158,7 +161,7 @@ class SparseStochasticMatrix:
             raise InputError(f"vector has shape {x.shape}, expected ({self.n},)")
         y = self._links @ x
         if self.dangling_columns:
-            y += x[self._dangling_mask].sum() / self.n
+            y += x[self._dangling_index].sum() / self.n
         return y
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
@@ -168,19 +171,19 @@ class SparseStochasticMatrix:
             raise InputError(f"vector has shape {v.shape}, expected ({self.n},)")
         y = self._links_t @ v
         if self.dangling_columns:
-            y[self._dangling_mask] += v.sum() / self.n
+            y[self._dangling_index] += v.sum() / self.n
         return y
 
     def column_sums(self) -> np.ndarray:
         s = np.asarray(self._links.sum(axis=0)).ravel()
         if self.dangling_columns:
             s = s.copy()
-            s[self._dangling_mask] += 1.0
+            s[self._dangling_index] += 1.0
         return s
 
     def to_dense(self) -> np.ndarray:
         dense = self._links.toarray()
-        dense[:, self._dangling_mask] += 1.0 / self.n
+        dense[:, self._dangling_index] += 1.0 / self.n
         return dense
 
     @classmethod
@@ -225,7 +228,7 @@ def from_edge_list(edges: EdgeList) -> SparseStochasticMatrix:
 def out_degrees(P: SparseStochasticMatrix) -> np.ndarray:
     """Out-degree per node; dangling nodes count n (uniform repair)."""
     deg = np.diff(P._links.indptr).astype(np.int64)
-    deg[P._dangling_mask] = P.n
+    deg[P._dangling_index] = P.n
     return deg
 
 

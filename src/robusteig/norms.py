@@ -28,9 +28,10 @@ where alone rho can fall inside its interval.
 
 :class:`Objective` is the one place where phi and its subgradient are
 computed.  Built once per (P, spec), it caches the weights c; one evaluation
-costs one P.matvec and one penalty evaluation, plus one P.rmatvec when the
-subgradient is asked for.  phi, phi_value and subgradient_phi are thin calls
-into it, and the solvers hold one for the length of a solve.
+costs one P.matvec (none when the caller hands in P x) and one penalty
+evaluation, plus one P.rmatvec when the subgradient is asked for.  phi,
+phi_value and subgradient_phi are thin calls into it, and the solvers hold
+one for the length of a solve.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_matrix import SparseStochasticMatrix, check_score_vector
+from .graph_matrix import InputError, SparseStochasticMatrix, check_score_vector
 
 
 class NormPair(enum.Enum):
@@ -425,12 +426,23 @@ class Objective:
             return _g1_with_dual(x, self._weights, self._g1_guard)
         return _g2_with_dual(x, self._weights, self._g2_mass)
 
-    def evaluate(self, x: np.ndarray, with_subgradient: bool = False
+    def evaluate(self, x: np.ndarray, with_subgradient: bool = False, *,
+                 Px: np.ndarray | None = None
                  ) -> tuple[ObjectiveValue, np.ndarray | None]:
-        """phi at x, and a subgradient there when asked (else None)."""
+        """phi at x, and a subgradient there when asked (else None).
+
+        Px is the product P x when the caller already holds it, as the
+        regularized power method does; it saves the one matvec and is read,
+        never written.  x and Px must both have shape (n,).
+        """
         P, eps = self.P, self.spec.epsilon
         x = np.asarray(x, dtype=float)
-        r = P.matvec(x) - x             # rejects a vector of the wrong shape
+        if Px is None:
+            Px = P.matvec(x)            # rejects a vector of the wrong shape
+        elif x.shape != (P.n,) or np.shape(Px) != (P.n,):
+            raise InputError(f"x and Px have shapes {x.shape} and {np.shape(Px)}, "
+                             f"expected ({P.n},)")
+        r = Px - x
         if self._l1_residual:
             residual_term = float(np.abs(r).sum())
         else:

@@ -200,7 +200,7 @@ def _lowest_entry(P: SparseStochasticMatrix, xi: np.ndarray, cols: np.ndarray) -
     links = P._links
     low = float((links.data + xi[links.indices, cols]).min()) if links.nnz else np.inf
     if P.dangling_columns:
-        low = min(low, float(1.0 / P.n + xi.min(axis=0)[P._dangling_mask].min()))
+        low = min(low, float(1.0 / P.n + xi.min(axis=0)[P._dangling_index].min()))
     return low
 
 
@@ -234,7 +234,15 @@ def sample_perturbation(P: SparseStochasticMatrix, spec: UncertaintySpec,
                 continue
             v *= rng.uniform(0.0, 1.0) * budgets[j] / l1
             xi[support, j] = v
-        total = float(np.abs(xi).sum()) if set_name == "xi1" else float(np.linalg.norm(xi))
+        if set_name == "xi1":
+            # sum |xi| in place, then restore the signs (-0.0 included) from
+            # a bool array: no second n x n float array
+            neg = np.signbit(xi)
+            np.abs(xi, out=xi)
+            total = float(xi.sum())
+            np.negative(xi, out=xi, where=neg)
+        else:
+            total = float(np.linalg.norm(xi))
         if total > spec.epsilon:
             xi *= spec.epsilon / total
     elif set_name == "xif_ball":
@@ -250,7 +258,7 @@ def sample_perturbation(P: SparseStochasticMatrix, spec: UncertaintySpec,
         xi = rng.standard_normal((n, n))
         off_support = np.ones((n, n), dtype=bool)   # zero entries of P have no mass to lose
         off_support[links.indices[positive], cols[positive]] = False
-        off_support[:, P._dangling_mask] = False
+        off_support[:, P._dangling_index] = False
         np.abs(xi, out=xi, where=off_support)
         del off_support
         for j, support in enumerate(_column_supports(P, positive)):

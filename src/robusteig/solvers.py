@@ -159,16 +159,22 @@ def regularized_power_method(P: SparseStochasticMatrix, spec: UncertaintySpec,
     of the first k+1 power-iteration terms.  Stops at the first k with
     phi(x_k) > phi(x_{k-1}) + stall_tol and returns x_{k-1}; plateaus continue
     until max_iter.
+
+    Each iteration costs one matvec and one penalty evaluation: P x_k gives
+    both the residual of phi(x_k) and the next iterate, so a stop at k makes
+    k + 1 matvecs.
     """
     objective = Objective(P, spec)
     e = uniform_vector(P.n)
     x_prev = e.copy()
-    value_prev, _ = objective.evaluate(x_prev)
+    y = P.matvec(x_prev)
+    value_prev, _ = objective.evaluate(x_prev, Px=y)
     history = [(0, value_prev.total)]
     for k in range(1, max_iter + 1):
         w = 1.0 / (k + 1)
-        x = (1.0 - w) * P.matvec(x_prev) + w * e
-        value, _ = objective.evaluate(x)
+        x = (1.0 - w) * y + w * e
+        y = P.matvec(x)
+        value, _ = objective.evaluate(x, Px=y)
         history.append((k, value.total))
         if value.total > value_prev.total + stall_tol:
             return SolveReport(x_prev, history, k, STOP_PHI_INCREASE, value_prev)

@@ -3,9 +3,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from robusteig import edge_list, from_edge_list
+from robusteig import edge_list, from_edge_list, uniform_vector
+from robusteig.norms import Objective
 from robusteig.perturbation import (FEASIBILITY_TOL, PERTURBATION_SETS,
                                     InfeasiblePerturbationError)
+from robusteig.solvers import STOP_MAX_ITER, STOP_PHI_INCREASE, SolveReport
 
 # the 7-node test graph (0-based edges)
 SEVEN_NODE_EDGES = [(0, 1), (0, 2), (1, 2), (2, 0), (2, 4), (2, 6),
@@ -81,6 +83,29 @@ def _g2_scan_loop(x, c):
             z[support] = np.minimum(a_s / rho, c_s) * np.sign(x[support])
             return float(cum_ca_rev[k] + cum_a2[k] / rho), z
     raise RuntimeError("no consistent interval")
+
+
+def _regularized_power_method_two_matvecs(P, spec, max_iter=100_000, stall_tol=1e-12):
+    """Algorithm 1 as it was written with two matvecs per iteration: one for
+    the step, and one more inside the objective for the residual.
+
+    The reference that solvers.regularized_power_method, which computes
+    P x_k once for both, must match bit for bit.
+    """
+    objective = Objective(P, spec)
+    e = uniform_vector(P.n)
+    x_prev = e.copy()
+    value_prev, _ = objective.evaluate(x_prev)
+    history = [(0, value_prev.total)]
+    for k in range(1, max_iter + 1):
+        w = 1.0 / (k + 1)
+        x = (1.0 - w) * P.matvec(x_prev) + w * e
+        value, _ = objective.evaluate(x)
+        history.append((k, value.total))
+        if value.total > value_prev.total + stall_tol:
+            return SolveReport(x_prev, history, k, STOP_PHI_INCREASE, value_prev)
+        x_prev, value_prev = x, value
+    return SolveReport(x_prev, history, max_iter, STOP_MAX_ITER, value_prev)
 
 
 def _column_supports_dense(P):

@@ -9,7 +9,7 @@ from robusteig import (EdgeList, InputError, SparseStochasticMatrix,
                        uniform_vector, validate)
 from robusteig.graph_matrix import edge_list_text, load_edge_list, out_degrees
 
-from conftest import SEVEN_NODE_DENSE, SEVEN_NODE_EDGES, SEVEN_NODE_XBAR
+from conftest import SEVEN_NODE_DENSE, SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, web_graph
 
 
 def reference_from_edge_list(edges: EdgeList):
@@ -149,6 +149,27 @@ class TestEdgeList:
         assert el.edges == ((0, 1), (1, 2), (0, 1))
 
 
+def mask_products(P, x, v):
+    """P x and P^T v with the dangling columns gathered and scattered through
+    a boolean mask over all n entries, kept as the reference for the index
+    array the products use."""
+    mask = np.zeros(P.n, dtype=bool)
+    mask[list(P.dangling_columns)] = True
+    y = P._links @ x
+    z = P._links.T @ v
+    if P.dangling_columns:
+        y += x[mask].sum() / P.n
+        z[mask] += v.sum() / P.n
+    return y, z
+
+
+DANGLING_MATRICES = {
+    "none": lambda: from_edge_list(edge_list(SEVEN_NODE_EDGES, 7)),
+    "a-few": lambda: web_graph(400, 5),
+    "all": lambda: from_edge_list(EdgeList((), 50)),
+}
+
+
 class TestMatvec:
     def test_identity_fixes_any_vector(self):
         P = SparseStochasticMatrix.from_dense(np.eye(2))
@@ -172,6 +193,18 @@ class TestMatvec:
         v = rng.standard_normal(7)
         np.testing.assert_allclose(seven_node.rmatvec(v),
                                    seven_node.to_dense().T @ v, atol=1e-14)
+
+    @pytest.mark.parametrize("matrix", DANGLING_MATRICES)
+    def test_products_with_dangling_columns(self, matrix):
+        P = DANGLING_MATRICES[matrix]()
+        rng = np.random.default_rng(4)
+        x, v = rng.standard_normal(P.n), rng.standard_normal(P.n)
+        dense = P.to_dense()
+        np.testing.assert_allclose(P.matvec(x), dense @ x, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(P.rmatvec(v), dense.T @ v, rtol=0, atol=1e-14)
+        want_y, want_z = mask_products(P, x, v)
+        assert P.matvec(x).tobytes() == want_y.tobytes()
+        assert P.rmatvec(v).tobytes() == want_z.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1))

@@ -215,7 +215,7 @@ class TestSamplerParity:
         with pytest.raises(InfeasiblePerturbationError):
             sample_perturbation(P, spec, "xif", rng_seed=0)
 
-    @pytest.mark.parametrize("set_name", ("xi2", "xif", "xif_ball"))
+    @pytest.mark.parametrize("set_name", PERTURBATION_SETS)
     def test_one_sample_holds_about_one_n_by_n_array(self, set_name):
         n = 1000
         P = web_graph(n, 7)

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from robusteig import (NormPair, SolverConfig, SparseStochasticMatrix,
-                       UncertaintySpec, averaged_power, dominant_eigenvector,
+from robusteig import (InputError, NormPair, SolverConfig,
+                       SparseStochasticMatrix, UncertaintySpec,
+                       averaged_power, dominant_eigenvector,
                        edge_list, from_edge_list, generate,
                        grid_oracle_minimize, mirror_descent_minimize,
                        pagerank, phi_value, regularized_power_method,
@@ -16,6 +17,7 @@ from robusteig.solvers import (STOP_MAX_ITER, STOP_PHI_INCREASE, STOP_TOLERANCE,
                                _entropic_step)
 
 from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, _g2_scan_loop,
+                      _regularized_power_method_two_matvecs,
                       random_stochastic_dense, web_graph)
 
 L2L2 = UncertaintySpec(1.0, NormPair.L2_L2)
@@ -199,6 +201,94 @@ class TestRegularizedPowerMethod:
         report = regularized_power_method(seven_node, L2L2)
         assert report.final.min() >= 0
         assert abs(report.final.sum() - 1) <= 1e-9
+
+
+def _seven_node_case(pair, budgets=None):
+    P = from_edge_list(edge_list(SEVEN_NODE_EDGES, 7))
+    return P, UncertaintySpec(1.0, pair, budgets), 200
+
+
+def _web_case(pair):
+    P = web_graph(300, 17)
+    return P, UncertaintySpec(0.01, pair, 1.0 / out_degrees(P).astype(float)), 30
+
+
+def _grid_case(pair):
+    P = generate(GridModelSpec(20, ModelVariant.MODEL2))
+    return P, UncertaintySpec(1.0, pair), 100_000
+
+
+# (P, spec, max_iter) per norm pair, and the stop every pair reaches (None: mixed)
+ALGORITHM1_CASES = {
+    "seven-node": (_seven_node_case, None),
+    "seven-node-uniform-0.3": (lambda pair: _seven_node_case(pair, 0.3), None),
+    "web-inv-degree": (_web_case, STOP_MAX_ITER),
+    "model2-grid-20": (_grid_case, STOP_PHI_INCREASE),
+}
+
+
+def _report_bits(report):
+    return (report.final.tobytes(), report.phi_history, report.iterations_used,
+            report.stop_reason, report.objective)
+
+
+class TestAlgorithm1Work:
+    """One matvec per iteration, with the iterates of the two-matvec loop."""
+
+    @pytest.mark.parametrize("pair", list(NormPair))
+    @pytest.mark.parametrize("case", ALGORITHM1_CASES)
+    def test_one_matvec_per_iterate_and_the_same_bits(self, case, pair):
+        build, stop = ALGORITHM1_CASES[case]
+        P, spec, max_iter = build(pair)
+        want = _regularized_power_method_two_matvecs(P, spec, max_iter=max_iter)
+        calls = []
+
+        def counted(x, method=P.matvec):
+            calls.append(1)
+            y = method(x)
+            y.flags.writeable = False           # a write to P x anywhere raises
+            return y
+
+        P.matvec = counted
+        report = regularized_power_method(P, spec, max_iter=max_iter)
+        assert stop in (None, report.stop_reason)
+        if report.stop_reason == STOP_PHI_INCREASE:
+            assert len(calls) == report.iterations_used + 1
+        else:
+            assert len(calls) == max_iter + 1
+        assert _report_bits(report) == _report_bits(want)
+
+    @pytest.mark.parametrize("pair", list(NormPair))
+    def test_mirror_descent_warm_start_keeps_its_bits(self, monkeypatch, pair):
+        P, spec, _ = _grid_case(pair)
+        config = SolverConfig(md_epochs=2, md_iters_per_epoch=20)
+        report = mirror_descent_minimize(P, spec, config)
+        monkeypatch.setattr(solvers, "regularized_power_method",
+                            _regularized_power_method_two_matvecs)
+        want = mirror_descent_minimize(P, spec, config)
+        assert report.final.tobytes() == want.final.tobytes()
+        assert report.phi_history == want.phi_history
+
+    @pytest.mark.parametrize("pair", list(NormPair))
+    def test_evaluate_reads_a_given_product_and_leaves_it(self, seven_node, pair):
+        spec = UncertaintySpec(1.0, pair, 0.3)
+        objective = norms.Objective(seven_node, spec)
+        x = np.random.default_rng(21).dirichlet(np.ones(7))
+        Px = seven_node.matvec(x)
+        before = Px.tobytes()
+        value, g = objective.evaluate(x, with_subgradient=True, Px=Px)
+        assert Px.tobytes() == before
+        want_value, want_g = objective.evaluate(x, with_subgradient=True)
+        assert value == want_value
+        assert g.tobytes() == want_g.tobytes()
+
+    def test_evaluate_checks_the_shapes_of_a_given_product(self, seven_node):
+        objective = norms.Objective(seven_node, L2L2)
+        x = uniform_vector(7)
+        with pytest.raises(InputError):
+            objective.evaluate(x, Px=np.ones(6) / 6)
+        with pytest.raises(InputError):
+            objective.evaluate(np.ones(6) / 6, Px=x)
 
 
 class TestMirrorDescent:
