@@ -15,7 +15,7 @@ import numpy as np
 
 from . import graph_matrix, models, perturbation, solvers
 from .graph_matrix import InputError, SparseStochasticMatrix
-from .norms import NormPair, UncertaintySpec, _g2_mass, phi
+from .norms import NormPair, UncertaintySpec, phi
 from .perturbation import InfeasiblePerturbationError, pair_for_set
 from .solvers import SolveReport, SolverConfig
 
@@ -135,18 +135,13 @@ def _uncertainty_spec(args, P: SparseStochasticMatrix) -> UncertaintySpec:
         spec = UncertaintySpec(epsilon, NormPair.from_string(args.pair), budgets)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
-    # g1 with sum c_j <= 1, and g2 with sum c_j^2 <= 1, are sum_j c_j |x_j|:
-    # linear on the simplex, and a constant under the default eps/n budgets.
-    # The l2g2 mass is the sum that g2 itself compares with 1
-    if spec.pair is not NormPair.L2_L2:
-        c = spec.weights(P.n)
-        mass, name = ((c.sum(), "c_j") if spec.pair is NormPair.L1_G1
-                      else (_g2_mass(c), "c_j^2"))
-        if mass <= 1.0 + 1e-12:
-            print(f"robusteig: warning: sum_j {name} = {mass:.6g} <= 1, so the {args.pair} "
-                  "penalty is the linear sum_j c_j x_j on the simplex (a constant for the "
-                  "default eps/n budgets); raise --col-budget to make it robust",
-                  file=sys.stderr)
+    mass = spec.penalty_mass(P.n)
+    if mass is not None and mass <= 1.0 + 1e-12:
+        name = "c_j" if spec.pair is NormPair.L1_G1 else "c_j^2"
+        print(f"robusteig: warning: sum_j {name} = {mass:.6g} <= 1, so the {args.pair} "
+              "penalty is the linear sum_j c_j x_j on the simplex (a constant for the "
+              "default eps/n budgets); raise --col-budget to make it robust",
+              file=sys.stderr)
     return spec
 
 

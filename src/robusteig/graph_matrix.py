@@ -410,16 +410,15 @@ def load_edge_list(path) -> EdgeList:
         return parse_edge_list(fh.read())
 
 
-def edge_list_text(edges: EdgeList, dangling_directives: bool = True) -> str:
+def edge_list_text(edges: EdgeList) -> str:
     """Serialize in the canonical text format (dangling nodes as directives)."""
     lines = [f"n={edges.n}"]
     lines += [f"{s}\t{d}" for s, d in zip(edges._src.tolist(), edges._dst.tolist())]
-    if dangling_directives:
-        has_out = np.bincount(edges._src, minlength=edges.n) > 0
-        lines += [f"dangling:{j}" for j in np.flatnonzero(~has_out).tolist()]
+    has_out = np.bincount(edges._src, minlength=edges.n) > 0
+    lines += [f"dangling:{j}" for j in np.flatnonzero(~has_out).tolist()]
     return "\n".join(lines) + "\n"
 
 
-def save_edge_list(path, edges: EdgeList, dangling_directives: bool = True) -> None:
+def save_edge_list(path, edges: EdgeList) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(edge_list_text(edges, dangling_directives))
+        fh.write(edge_list_text(edges))

@@ -89,6 +89,8 @@ def _solve_recurrence(n: int, corner_feedback: bool, alpha: float = 1.0) -> np.n
     giving the PageRank recurrence.  Values stay bounded by N = n^2 (the
     corner value is exactly N when alpha = 1), so no rescaling is required.
     """
+    if n < 2:
+        raise ValueError(f"side length must be >= 2, got {n}")
     x = np.zeros((n, n))
     add = 1.0 if not corner_feedback else 0.0
     last = n - 1
@@ -115,37 +117,17 @@ def _solve_recurrence(n: int, corner_feedback: bool, alpha: float = 1.0) -> np.n
 
 def model1_exact_scores(n: int) -> np.ndarray:
     """Normalized fixed point of the Model 1 matrix, from the recurrences."""
-    if n < 2:
-        raise ValueError(f"side length must be >= 2, got {n}")
     raw = _solve_recurrence(n, corner_feedback=False, alpha=1.0)
     return (raw / raw.sum()).ravel()
-
-
-def model1_raw_scores(n: int) -> np.ndarray:
-    """Unnormalized Model 1 recurrence values (origin pinned to 1)."""
-    if n < 2:
-        raise ValueError(f"side length must be >= 2, got {n}")
-    return _solve_recurrence(n, corner_feedback=False, alpha=1.0).ravel()
 
 
 def model1_pagerank_scores(n: int, alpha: float) -> np.ndarray:
     """Normalized PageRank vector of the Model 1 matrix, from the damped
     recurrences (origin pinned to alpha)."""
-    if n < 2:
-        raise ValueError(f"side length must be >= 2, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     raw = _solve_recurrence(n, corner_feedback=False, alpha=alpha)
     return (raw / raw.sum()).ravel()
-
-
-def model1_raw_pagerank_scores(n: int, alpha: float) -> np.ndarray:
-    """Unnormalized damped recurrence values (origin pinned to alpha)."""
-    if n < 2:
-        raise ValueError(f"side length must be >= 2, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return _solve_recurrence(n, corner_feedback=False, alpha=alpha).ravel()
 
 
 def model2_exact_scores(n: int) -> np.ndarray:
@@ -155,8 +137,6 @@ def model2_exact_scores(n: int) -> np.ndarray:
     constant in-flow term vanishes; mass conservation forces the corner value
     back to the origin value, which is asserted before normalizing.
     """
-    if n < 2:
-        raise ValueError(f"side length must be >= 2, got {n}")
     raw = _solve_recurrence(n, corner_feedback=True, alpha=1.0)
     if abs(raw[-1, -1] - raw[0, 0]) > 1e-9 * max(1.0, raw[0, 0]):
         raise RuntimeError("corner/origin balance violated in the Model 2 recurrence")

@@ -99,6 +99,18 @@ class UncertaintySpec:
             raise ValueError(f"column budgets have shape {arr.shape}, expected ({n},)")
         return arr / self.epsilon
 
+    def penalty_mass(self, n: int) -> float | None:
+        """sum_j c_j for l1g1, sum_j c_j^2 for l2g2, None for l2l2.
+
+        At most 1, the g1 or g2 penalty is sum_j c_j |x_j|: linear on the
+        simplex, and a constant under the default eps/n budgets.  The l2g2
+        mass is the sum that g2 itself compares with 1.
+        """
+        if self.pair is NormPair.L2_L2:
+            return None
+        c = self.weights(n)
+        return float(c.sum()) if self.pair is NormPair.L1_G1 else _g2_mass(c)
+
 
 @dataclass(frozen=True)
 class ObjectiveValue:

@@ -329,8 +329,8 @@ def empirical_phi_lower_bound(P: SparseStochasticMatrix, x: np.ndarray,
     best = max([0.0, *realized])
     if include_rank1:
         ord_ = _residual_ord(set_name)
-        xi_star = worst_case_rank1(P, x, spec.epsilon).materialize()
-        best = max(best, float(np.linalg.norm((P.to_dense() + xi_star) @ x - x, ord=ord_)))
+        xi_star = worst_case_rank1(P, x, spec.epsilon)
+        best = max(best, float(np.linalg.norm(P.matvec(x) - x + xi_star.apply(x), ord=ord_)))
     upper = phi_value(P, x, spec)
     if best > upper + 1e-9:
         raise RuntimeError(f"sampled residual {best} exceeds the convex bound {upper}; "

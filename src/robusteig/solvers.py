@@ -26,6 +26,9 @@ _DEFAULT_SPEC = UncertaintySpec(epsilon=1.0, pair=NormPair.L2_L2)
 # terms in the first round of dominant_eigenvector's restarted averaging
 _FIRST_ROUND_TERMS = 64
 
+# regularized_power_method stops on a rise of phi above this, not on rounding
+_STALL_TOL = 1e-12
+
 
 @dataclass
 class SolveReport:
@@ -46,13 +49,16 @@ class SolveReport:
 
 @dataclass
 class SolverConfig:
-    """Knobs shared by the iterative solvers."""
+    """Budgets of mirror_descent_minimize.
+
+    max_iter bounds its regularized-power warm start; md_epochs epochs of
+    md_iters_per_epoch steps bound the descent itself.  alpha and tol are
+    validated but read by no solver: the benchmark still passes them.
+    """
 
     alpha: float = 0.85
     tol: float = 1e-10
     max_iter: int = 100_000
-    gamma0: float = 1.0
-    step_policy: str = "geometric"   # or "sqrt_k": gamma0 / sqrt(k)
     md_epochs: int = 45
     md_iters_per_epoch: int = 200
 
@@ -63,8 +69,6 @@ class SolverConfig:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.step_policy not in ("geometric", "sqrt_k"):
-            raise ValueError(f"unknown step policy {self.step_policy!r}")
 
 
 def pagerank(P: SparseStochasticMatrix, alpha: float = 0.85, tol: float = 1e-10,
@@ -149,15 +153,14 @@ def dominant_eigenvector(P: SparseStochasticMatrix, tol: float = 1e-6) -> np.nda
 
 
 def regularized_power_method(P: SparseStochasticMatrix, spec: UncertaintySpec,
-                             max_iter: int = 100_000,
-                             stall_tol: float = 1e-12) -> SolveReport:
+                             max_iter: int = 100_000) -> SolveReport:
     """Power method with 1/(k+1) uniform mixing, stopped at the first rise
     of the robust objective.
 
     Starts at e (iteration 0); iteration k produces
     x_k = (1 - 1/(k+1)) P x_{k-1} + (1/(k+1)) e, which is the Cesaro average
     of the first k+1 power-iteration terms.  Stops at the first k with
-    phi(x_k) > phi(x_{k-1}) + stall_tol and returns x_{k-1}; plateaus continue
+    phi(x_k) > phi(x_{k-1}) + _STALL_TOL and returns x_{k-1}; plateaus continue
     until max_iter.
 
     Each iteration costs one matvec and one penalty evaluation: P x_k gives
@@ -176,7 +179,7 @@ def regularized_power_method(P: SparseStochasticMatrix, spec: UncertaintySpec,
         y = P.matvec(x)
         value, _ = objective.evaluate(x, Px=y)
         history.append((k, value.total))
-        if value.total > value_prev.total + stall_tol:
+        if value.total > value_prev.total + _STALL_TOL:
             return SolveReport(x_prev, history, k, STOP_PHI_INCREASE, value_prev)
         x_prev, value_prev = x, value
     return SolveReport(x_prev, history, max_iter, STOP_MAX_ITER, value_prev)
@@ -199,14 +202,15 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
                             x0: np.ndarray | None = None) -> SolveReport:
     """Minimize phi over the simplex by entropic mirror descent.
 
-    Multiplicative updates x <- normalize(x * exp(-gamma_k g_k)) with g_k a
+    Multiplicative updates x <- normalize(x * exp(-gamma g_k)) with g_k a
     subgradient of phi at x_k and steps scaled by 1/||g_k||_inf, tracking the
     best iterate seen.  Each step evaluates phi and its subgradient at the new
-    iterate in one pass, so it costs one matvec and one rmatvec.  The default
-    "geometric" policy runs epochs of constant step, halving the step and
-    restarting from the best iterate (and its stored subgradient) each epoch,
-    which drives the nonsmooth objective to solver-level accuracy; "sqrt_k"
-    is the classical gamma0/sqrt(k) decay.
+    iterate in one pass, so it costs one matvec and one rmatvec.  The steps
+    run in config.md_epochs epochs of config.md_iters_per_epoch steps; gamma
+    starts at 1 and halves after each epoch, and each epoch restarts from the
+    best iterate (and its stored subgradient), which drives the nonsmooth
+    objective to solver-level accuracy.  A zero subgradient stops the descent
+    with stop reason tolerance; otherwise it is max_iter.
 
     Unless x0 is given, descent starts from the stopped regularized-power
     iterate (cheap and already good), so the returned objective never exceeds
@@ -216,9 +220,8 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
     if x0 is None:
         x0 = regularized_power_method(P, spec, max_iter=config.max_iter).final
     objective = Objective(P, spec)
-    x = check_score_vector(x0).copy()
-    best_value, g = objective.evaluate(x, with_subgradient=True)
-    best_x, best_g = x.copy(), g
+    best_x = check_score_vector(x0).copy()
+    best_value, best_g = objective.evaluate(best_x, with_subgradient=True)
     # the uniform point is cheap to evaluate and never worse than untried
     e = uniform_vector(P.n)
     e_value, e_g = objective.evaluate(e, with_subgradient=True)
@@ -226,41 +229,24 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
         best_x, best_value, best_g = e, e_value, e_g
     history = [(0, best_value.total)]
     iterations = 0
-
-    def advance(x, g, step_scale):
-        """One step from x along its subgradient g; (None, None) if g = 0."""
-        nonlocal best_x, best_value, best_g, iterations
-        g_inf = float(max(g.max(), -g.min()))        # ||g||_inf, no n-array
-        if g_inf == 0.0:
-            return None, None
-        x = _entropic_step(x, g, step_scale / g_inf)
-        iterations += 1
-        value, g = objective.evaluate(x, with_subgradient=True)
-        if value.total < best_value.total:
-            best_x, best_value, best_g = x.copy(), value, g
-            history.append((iterations, value.total))
-        return x, g
-
-    stationary = False
-    if config.step_policy == "sqrt_k":
-        for k in range(1, config.max_iter + 1):
-            x, g = advance(x, g, config.gamma0 / math.sqrt(k))
-            if x is None:
-                stationary = True
+    stop_reason = STOP_MAX_ITER
+    gamma = 1.0
+    for _ in range(config.md_epochs):
+        x, g = best_x.copy(), best_g
+        for _ in range(config.md_iters_per_epoch):
+            g_inf = float(max(g.max(), -g.min()))        # ||g||_inf, no n-array
+            if g_inf == 0.0:                             # x minimizes phi
+                stop_reason = STOP_TOLERANCE
                 break
-    else:
-        gamma = config.gamma0
-        for _ in range(config.md_epochs):
-            x, g = best_x.copy(), best_g
-            for _ in range(config.md_iters_per_epoch):
-                x, g = advance(x, g, gamma)
-                if x is None:
-                    stationary = True
-                    break
-            if stationary:
-                break
-            gamma /= 2.0
-    stop_reason = STOP_TOLERANCE if stationary else STOP_MAX_ITER
+            x = _entropic_step(x, g, gamma / g_inf)
+            iterations += 1
+            value, g = objective.evaluate(x, with_subgradient=True)
+            if value.total < best_value.total:
+                best_x, best_value, best_g = x.copy(), value, g
+                history.append((iterations, value.total))
+        if stop_reason == STOP_TOLERANCE:
+            break
+        gamma /= 2.0
     return SolveReport(best_x, history, iterations, stop_reason, best_value)
 
 

@@ -6,8 +6,7 @@ from robusteig import (EdgeList, GridModelSpec, ModelVariant, dominant_eigenvect
                        load_edge_list, model1_exact_scores,
                        model1_pagerank_scores, model2_exact_scores, pagerank,
                        residual, validate)
-from robusteig.models import (diagonal_ids, edge_list_for, last_row_ids,
-                              model1_raw_pagerank_scores, model1_raw_scores)
+from robusteig.models import diagonal_ids, edge_list_for, last_row_ids
 
 
 def spec1(n):
@@ -93,8 +92,8 @@ class TestModel1ExactScores:
 
     def test_corner_to_origin_ratio_is_the_node_count(self):
         for n in (2, 3, 10):
-            raw = model1_raw_scores(n)
-            assert raw[-1] / raw[0] == pytest.approx(n * n, abs=1e-9)
+            x = model1_exact_scores(n)
+            assert x[-1] / x[0] == pytest.approx(n * n, abs=1e-9)
 
     @pytest.mark.parametrize("n", [2, 5, 30])
     def test_diagonal_scores_increase_toward_the_corner(self, n):
@@ -120,10 +119,11 @@ class TestModel1PagerankScores:
         np.testing.assert_allclose(model1_pagerank_scores(n, 0.85), solved, atol=1e-8)
 
     def test_corner_value_reaches_damped_node_count_in_the_limit(self):
-        # the corner recurrence value equals alpha * N as alpha -> 1
+        # the corner recurrence value equals alpha * N, and the origin's is
+        # alpha, as alpha -> 1
         n = 5
-        raw = model1_raw_pagerank_scores(n, 1 - 1e-12)
-        assert raw[-1] == pytest.approx((1 - 1e-12) * n * n, rel=1e-6)
+        x = model1_pagerank_scores(n, 1 - 1e-12)
+        assert x[-1] / x[0] == pytest.approx(n * n, rel=1e-6)
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValueError):

@@ -320,6 +320,13 @@ class TestUncertaintySpec:
         with pytest.raises(ValueError):
             UncertaintySpec(1.0, NormPair.L1_G1, np.ones(3)).weights(4)
 
+    def test_penalty_mass_is_the_sum_each_penalty_compares_with_one(self):
+        budgets = np.array([1.0, 4.0])
+        assert UncertaintySpec(2.0, NormPair.L1_G1, budgets).penalty_mass(2) == 2.5
+        assert UncertaintySpec(2.0, NormPair.L2_G2, budgets).penalty_mass(2) == 4.25
+        assert UncertaintySpec(2.0, NormPair.L2_L2, budgets).penalty_mass(2) is None
+        assert UncertaintySpec(2.0, NormPair.L1_G1).penalty_mass(5) == pytest.approx(1.0)
+
     def test_pair_parsing(self):
         assert NormPair.from_string("L2L2") is NormPair.L2_L2
         with pytest.raises(ValueError):

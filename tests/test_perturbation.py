@@ -252,6 +252,15 @@ class TestEmpiricalLowerBound:
                                         n_samples=50, rng_seed=2, include_rank1=True)
         assert low == pytest.approx(phi_value(seven_node, e, spec), abs=1e-10)
 
+    def test_rank1_adds_no_dense_copy_of_p(self, seven_node, monkeypatch):
+        calls = []
+        to_dense = seven_node.to_dense
+        monkeypatch.setattr(seven_node, "to_dense", lambda: calls.append(1) or to_dense())
+        empirical_phi_lower_bound(seven_node, uniform_vector(7),
+                                  UncertaintySpec(1.0, NormPair.L2_L2), "xif_ball",
+                                  n_samples=3, include_rank1=True)
+        assert len(calls) == 1                   # the sampled residuals' one dense P
+
     def test_mismatched_pair_rejected(self, seven_node):
         spec = UncertaintySpec(1.0, NormPair.L2_L2)
         with pytest.raises(ValueError):

@@ -325,11 +325,6 @@ class TestMirrorDescent:
         b = mirror_descent_minimize(P, spec, x0=skewed)
         assert np.abs(a.final - b.final).max() <= 1e-6
 
-    def test_sqrt_k_policy_still_improves(self, seven_node):
-        config = SolverConfig(step_policy="sqrt_k", max_iter=2000)
-        report = mirror_descent_minimize(seven_node, L2L2, config)
-        assert report.objective.total < phi_value(seven_node, uniform_vector(7), L2L2)
-
     @pytest.mark.parametrize("pair", list(NormPair))
     def test_one_matvec_and_one_rmatvec_per_step(self, pair):
         P = from_edge_list(edge_list(SEVEN_NODE_EDGES, 7))
@@ -349,7 +344,7 @@ class TestMirrorDescent:
 
     @pytest.mark.xfail(strict=True, reason="mirror descent stops above the l1g1 optimum "
                        "(phi 0.299039 against the LP's 20/69 = 0.289855); an exact LP "
-                       "solve for l1g1 is ROADMAP item 4")
+                       "solve for l1g1 is ROADMAP item 1")
     def test_l1g1_reaches_the_lp_optimum_on_seven_node(self, seven_node):
         spec = UncertaintySpec(1.0, NormPair.L1_G1, 0.3)
         report = mirror_descent_minimize(seven_node, spec, SolverConfig(max_iter=200))
@@ -381,7 +376,7 @@ class TestMirrorDescent:
         steps = itertools.count()
 
         def abs_max_step(x, g, step):
-            gamma = config.gamma0 / 2.0 ** (next(steps) // config.md_iters_per_epoch)
+            gamma = 1.0 / 2.0 ** (next(steps) // config.md_iters_per_epoch)
             return _entropic_step(x, g, gamma / float(np.abs(g).max()))
 
         monkeypatch.setattr(solvers, "_entropic_step", abs_max_step)
@@ -467,8 +462,16 @@ class TestSolverConfig:
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            SolverConfig(step_policy="adam")
+
+    def test_accepts_the_benchmark_keywords(self):
+        config = SolverConfig(alpha=0.85, tol=1e-10, max_iter=500, md_epochs=3,
+                              md_iters_per_epoch=7)
+        assert (config.max_iter, config.md_epochs, config.md_iters_per_epoch) == (500, 3, 7)
+
+    @pytest.mark.parametrize("knob", [{"gamma0": 1.0}, {"step_policy": "geometric"}])
+    def test_removed_step_knobs_are_rejected(self, knob):
+        with pytest.raises(TypeError):
+            SolverConfig(**knob)
 
 
 def test_all_solver_outputs_are_score_vectors(seven_node):
