@@ -7,8 +7,11 @@ is stored implicitly (a set of column indices plus the 1/n value) so large
 graphs stay sparse.
 
 Edges travel from the text format to the matrix as two int64 arrays, sources
-and destinations, with no Python object per edge: parsing is O(m) array work
-over the lines of the text, and building is O(m) array work plus one sort of
+and destinations, with no Python object per edge.  Parsing is O(m) array
+work: canonical text, which is what `edge_list_text` writes, is checked by
+uint8 and bool operations over its bytes and read by one C-level integer
+parse, with no Python object per line; any other text is read as one
+StringDType array of its lines.  Building is O(m) array work plus one sort of
 the m keys `s * n + d` (the `np.unique` of the keys), which collapses
 duplicate edges.  `EdgeList.edges`, the tuple of (source, destination) pairs,
 is built only when it is read.
@@ -295,6 +298,23 @@ def check_score_vector(x: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
 #
 # Ids are read as int() reads them ("+1", "007" and "1_0" are ids); the edge
 # and directive ids must lie in [0, n).
+#
+# Canonical text, what edge_list_text writes, is ASCII, breaks lines at "\n"
+# only, and has only these lines: blank, "#" comments, "n=<digits>",
+# "dangling:<digits>" and "<digits>\t<digits>" (a space may stand for the
+# tab), with at most 18 digits in a run, so that no id overflows int64.
+
+_NL, _TAB, _SPACE, _ZERO = b"\n\t 0"
+_MAX_DIGITS = 18
+# the bytes besides "\n" at which str.splitlines breaks an ASCII line
+_LINE_BREAKS = list(b"\v\f\r\x1c\x1d\x1e")
+# canonical line kinds, told apart by the first byte of a line
+_OTHER, _BLANK, _COMMENT, _HEADER, _DIRECTIVE, _EDGE = range(6)
+_LINE_KIND = np.full(256, _OTHER, dtype=np.uint8)
+_LINE_KIND[list(b"0123456789")] = _EDGE
+_LINE_KIND[list(b"\n#nd")] = _BLANK, _COMMENT, _HEADER, _DIRECTIVE
+_IDS_PER_LINE = np.array([0, 0, 0, 1, 1, 2])          # by line kind
+_PREFIXES = ((_HEADER, b"n="), (_DIRECTIVE, b"dangling:"))
 
 # the characters str.split() splits a line at: tab and space first, then the
 # non-ASCII whitespace (none lies above U+3000); the other ASCII whitespace
@@ -304,12 +324,97 @@ _SPACES = "\t " + "".join(c for c in map(chr, range(0x80, 0x3001)) if c.isspace(
 
 
 def parse_edge_list(text: str) -> EdgeList:
-    """Parse the text format into an EdgeList by array operations over all lines.
+    """Parse the text format into an EdgeList by array operations.
+
+    Canonical text is read on its bytes: its lines are classified and checked
+    by uint8 and bool array operations, and its ids are read by one
+    np.fromstring call, with no Python object per line.  Any other text goes
+    to the general parser, which reads the stripped lines as strings and
+    takes ids in every form that int() takes; so does canonical text that
+    declares no node or an id outside [0, n), so that the general parser
+    words every error.  Both parsers give the same EdgeList for canonical
+    text.
 
     A malformed line, an id outside [0, n) or a node count below 1 raises
     InputError; a line's error names its line number, and of several bad
     lines the first malformed one is named, or else the first out of range.
     """
+    edges = _parse_canonical(text)
+    return _parse_general(text) if edges is None else edges
+
+
+def _parse_canonical(text: str) -> EdgeList | None:
+    """The EdgeList of canonical text, or None for any other text and for
+    canonical text with an error."""
+    if not text.isascii():
+        return None
+    ids, kind = _canonical_ids(text)
+    if ids is None:
+        return None
+    owner = np.repeat(kind, _IDS_PER_LINE[kind])      # the kind of each id's line
+    pairs = ids[owner == _EDGE].reshape(-1, 2)
+    counts, nodes = ids[owner == _HEADER], ids[owner == _DIRECTIVE]
+    top = max(int(pairs.max(initial=-1)), int(nodes.max(initial=-1)))
+    n = int(counts[-1]) if counts.size else top + 1
+    if n < 1 or top >= n:
+        return None
+    return EdgeList.from_arrays(pairs[:, 0], pairs[:, 1], n)
+
+
+def _canonical_ids(text: str) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
+    """The ids of ASCII text in line order and the kind of each line, or
+    (None, None) if the text is not canonical or has no id.
+
+    One byte array holds the text.  The comments and the "n=" and
+    "dangling:" prefixes in it are overwritten by line breaks, which leaves
+    digits, line breaks and one separator per edge line to check, and the
+    ids to one np.fromstring call.
+    """
+    data = text.encode("ascii")
+    if not data.endswith(b"\n"):
+        data += b"\n"                           # splitlines reads the same lines
+    b = np.frombuffer(data, dtype=np.uint8).copy()
+    del data
+    ends = np.flatnonzero(b == _NL)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    kind = _LINE_KIND[b[starts]]
+    if (kind == _OTHER).any() or not (kind >= _HEADER).any():
+        return None, None
+    for line_kind, prefix in _PREFIXES:
+        at = starts[kind == line_kind]
+        digits = ends[kind == line_kind] - at - len(prefix)
+        if _outside(digits - 1, _MAX_DIGITS).any():       # 1 to 18 after the prefix
+            return None, None
+        for k, byte in enumerate(prefix):
+            if (b[at + k] != byte).any():
+                return None, None
+            b[at + k] = _NL
+    comment = kind == _COMMENT
+    if comment.any():
+        in_comment = np.repeat(comment, ends - starts + 1)
+        if np.isin(b[in_comment], _LINE_BREAKS).any():
+            return None, None
+        b[in_comment] = _NL
+        del in_comment
+    # the bytes neither digits nor line breaks: one separator per edge line
+    stray = (b - _ZERO) > 9
+    stray &= b != _NL
+    at = np.flatnonzero(stray)
+    del stray
+    edge = kind == _EDGE
+    if at.size != np.count_nonzero(edge):
+        return None, None
+    # each separator in its edge line, after 1 to 18 digits and before as many
+    if (_outside(at - starts[edge] - 1, _MAX_DIGITS).any()
+            or _outside(ends[edge] - at - 2, _MAX_DIGITS).any()
+            or not ((b[at] == _TAB) | (b[at] == _SPACE)).all()):
+        return None, None
+    b.flags.writeable = False                   # np.fromstring reads read-only buffers
+    return np.fromstring(b, dtype=np.int64, sep=" "), kind
+
+
+def _parse_general(text: str) -> EdgeList:
+    """parse_edge_list for any text, on its stripped lines as StringDType strings."""
     lines = text.splitlines()
     try:
         lines = np.strings.strip(np.array(lines, dtype=StringDType()))
@@ -406,8 +511,19 @@ def _malformed(lineno: int, line: str) -> str:
 
 
 def load_edge_list(path) -> EdgeList:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    """Parse a UTF-8 file, its line breaks read as text mode reads them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines before the bad byte, and its own, begun after them
+        line = len((data[:exc.start].decode("utf-8") + "\0").splitlines())
+        raise InputError(f"line {line}: not valid UTF-8") from None
+    del data
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_edge_list(text)
 
 
 def edge_list_text(edges: EdgeList) -> str:

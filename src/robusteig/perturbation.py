@@ -280,10 +280,6 @@ def sample_perturbation(P: SparseStochasticMatrix, spec: UncertaintySpec,
     return PerturbationSample(xi=xi, set_name=set_name, stochastic_ok=stochastic_ok)
 
 
-def _residual_ord(set_name: str) -> int:
-    return 1 if set_name == "xi1" else 2
-
-
 def sampled_residuals(P: SparseStochasticMatrix, x: np.ndarray, spec: UncertaintySpec,
                       set_name: str, n_samples: int = 1000,
                       rng_seed: int = 0) -> tuple[list[float], bool]:
@@ -294,7 +290,7 @@ def sampled_residuals(P: SparseStochasticMatrix, x: np.ndarray, spec: Uncertaint
     before the next is drawn, so one xi is alive at a time beside dense P.
     """
     x = np.asarray(x, dtype=float)
-    ord_ = _residual_ord(set_name)
+    ord_ = 1 if set_name == "xi1" else 2
     dense = P.to_dense()
     realized = []
     all_feasible = True
@@ -318,19 +314,23 @@ def empirical_phi_lower_bound(P: SparseStochasticMatrix, x: np.ndarray,
     A sampled lower bound for the intractable worst case; always at most the
     matching convex upper bound phi(x) (checked, violation means a bug).  With
     include_rank1 the attaining rank-1 perturbation joins the pool, which
-    closes the gap exactly for the unconstrained Frobenius ball.
+    closes the gap exactly for the unconstrained Frobenius ball xif_ball; the
+    other sets do not hold it (it breaks nonnegativity or the column budgets),
+    so for them include_rank1 raises ValueError.
     """
     expected_pair = _SET_PAIR[set_name]
     if spec.pair is not expected_pair:
         raise ValueError(f"set {set_name!r} pairs with {expected_pair.value}, "
                          f"but spec uses {spec.pair.value}")
+    if include_rank1 and set_name != "xif_ball":
+        raise ValueError("include_rank1 applies to set 'xif_ball' only: the rank-1 "
+                         f"worst case lies outside set {set_name!r}")
     x = np.asarray(x, dtype=float)
     realized, _ = sampled_residuals(P, x, spec, set_name, n_samples, rng_seed)
     best = max([0.0, *realized])
     if include_rank1:
-        ord_ = _residual_ord(set_name)
         xi_star = worst_case_rank1(P, x, spec.epsilon)
-        best = max(best, float(np.linalg.norm(P.matvec(x) - x + xi_star.apply(x), ord=ord_)))
+        best = max(best, float(np.linalg.norm(P.matvec(x) - x + xi_star.apply(x))))
     upper = phi_value(P, x, spec)
     if best > upper + 1e-9:
         raise RuntimeError(f"sampled residual {best} exceeds the convex bound {upper}; "

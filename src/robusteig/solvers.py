@@ -82,15 +82,18 @@ def pagerank(P: SparseStochasticMatrix, alpha: float = 0.85, tol: float = 1e-10,
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     objective = Objective(P, spec or _DEFAULT_SPEC)
-    e = uniform_vector(P.n)
-    x = e.copy()
+    x = uniform_vector(P.n)
+    shift = (1.0 - alpha) * x
     value, _ = objective.evaluate(x)
     history = [(0, value.total)]
     stop_reason = STOP_MAX_ITER
     iterations = 0
     for k in range(1, max_iter + 1):
-        x_next = alpha * P.matvec(x) + (1.0 - alpha) * e
-        delta = float(np.abs(x_next - x).sum())
+        x_next = P.matvec(x)
+        x_next *= alpha
+        x_next += shift
+        step = x_next - x
+        delta = float(np.abs(step, out=step).sum())
         x = x_next
         iterations = k
         if delta <= tol:

@@ -262,6 +262,14 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "rank", "--input", str(path))
         assert code == 2
 
+    def test_input_file_not_utf8_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes(b"n=3\r\n0\t1\n# caf\xe9\n1\t2\n")
+        code = main(["rank", "--input", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"robusteig: error: cannot read {path}: line 3: not valid UTF-8\n")
+
     def test_missing_source_is_a_config_error(self, capsys):
         code, _ = run_cli(capsys, "rank")
         assert code == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,9 @@ from scipy import sparse
 from robusteig import (EdgeList, InputError, SparseStochasticMatrix,
                        edge_list, from_edge_list, parse_edge_list, residual,
                        uniform_vector, validate)
-from robusteig.graph_matrix import edge_list_text, load_edge_list, out_degrees
+from robusteig import graph_matrix
+from robusteig.graph_matrix import (_parse_canonical, _parse_general, edge_list_text,
+                                    load_edge_list, out_degrees, save_edge_list)
 
 from conftest import SEVEN_NODE_DENSE, SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, web_graph
 
@@ -350,3 +354,113 @@ class TestEdgeListText:
         assert back.n == 7
         np.testing.assert_array_equal(from_edge_list(back).to_dense(),
                                       seven_node.to_dense())
+
+
+def _id_text(draw):
+    """An id as canonical text writes it, or with leading zeros, 18 to 20
+    digits, or near 2**63."""
+    low, high = draw(st.sampled_from(((0, 12),) * 6 + ((0, 10**6), (10**17, 10**20),
+                                                       (2**63 - 3, 2**63 + 3))))
+    value = draw(st.integers(low, high))
+    return "0" * draw(st.sampled_from((0, 0, 0, 1, 5))) + str(value)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """(text, canonical): edge-list text of canonical lines, edges among
+    interleaved headers, directives, comments and blank lines, and whether it
+    is still canonical after up to two inserted characters."""
+    lines, canonical = [], True
+    for kind in draw(st.lists(st.sampled_from("eeeeehdcb"), max_size=12)):
+        if kind == "e":
+            words = _id_text(draw), _id_text(draw)
+            lines.append(words[0] + draw(st.sampled_from("\t\t ")) + words[1])
+        elif kind in "hd":
+            words = (_id_text(draw),)
+            lines.append(("n=" if kind == "h" else "dangling:") + words[0])
+        else:
+            words = ()
+            chars = st.sampled_from("ab #\t0" * 3 + "\r\x0b\xe9")
+            lines.append("" if kind == "b" else "#" + draw(st.text(chars, max_size=5)))
+            canonical = canonical and lines[-1].isascii() and not set(lines[-1]) & set("\r\x0b")
+        canonical = canonical and all(len(w) <= 18 for w in words)
+    text = "\n".join(lines) + draw(st.sampled_from(("\n", "")))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("\r \t+x\xe9\x1f\x1c\u3000\x85#n")) + text[at:]
+        canonical = False
+    return text, canonical
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return str(exc)
+
+
+def _random_edges(n, m, seed):
+    rng = np.random.default_rng(seed)
+    return EdgeList.from_arrays(rng.integers(0, n, m), rng.integers(0, n, m), n)
+
+
+class TestCanonicalParse:
+    @settings(max_examples=600, deadline=None)
+    @given(edge_list_texts())
+    @example(("n=5\n0\t4\ndangling:3\n# a\tcomment\n\n1 2", True))
+    @example(("0000000000000000001\t0\n", False))
+    @example(("0\t9223372036854775808\n", False))
+    @example(("n=3\r\n0\t1\n", False))
+    @example(("0\t1 \n", False))
+    @example(("0\t\xe9\n", False))
+    @example(("# \x0b0\t1\nn=1\n", False))
+    @example(("0x1\n", False))
+    @example(("1\x1f2\n", False))
+    @example(("0\x0c1\n", False))
+    def test_same_edge_list_or_error_as_the_general_parser(self, case):
+        text, canonical = case
+        general = _parsed(_parse_general, text)
+        assert _parsed(parse_edge_list, text) == general
+        if canonical and isinstance(general, EdgeList):
+            assert _parse_canonical(text) == general
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_lists())
+    def test_written_text_takes_the_canonical_path(self, edges):
+        assert _parse_canonical(edge_list_text(edges)) == edges
+
+    def test_saved_files_load_without_the_general_parser(self, tmp_path, monkeypatch):
+        def general(text):
+            raise AssertionError("the general parser was called")
+        monkeypatch.setattr(graph_matrix, "_parse_general", general)
+        path = tmp_path / "g.tsv"
+        for edges in (edge_list(SEVEN_NODE_EDGES, 7), EdgeList((), 3),
+                      EdgeList(((0, 0),), 1), _random_edges(2000, 8000, 5)):
+            save_edge_list(path, edges)
+            assert load_edge_list(path) == edges
+
+    def test_peak_memory_no_higher_than_the_general_parser(self):
+        text = edge_list_text(_random_edges(25_000, 100_000, 6))
+        peaks = []
+        for parse in (_parse_general, parse_edge_list):
+            tracemalloc.start()
+            try:
+                edges = parse(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert edges.n == 25_000
+        assert peaks[1] <= peaks[0]
+
+    def test_undecodable_file_names_its_line(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(b"n=3\r\n0\t1\r1\t2\n# \xff\n")
+        with pytest.raises(InputError, match="^line 4: not valid UTF-8$"):
+            load_edge_list(path)
+
+    def test_file_line_breaks_read_as_text_mode_reads_them(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(b"n=4\r\n0\t1\r1\t2\r\n\r\n2\t3")
+        with open(path, encoding="utf-8") as fh:
+            assert load_edge_list(path) == parse_edge_list(fh.read())
+

@@ -261,6 +261,19 @@ class TestEmpiricalLowerBound:
                                   n_samples=3, include_rank1=True)
         assert len(calls) == 1                   # the sampled residuals' one dense P
 
+    @pytest.mark.parametrize("set_name", PERTURBATION_SETS)
+    def test_rank1_admitted_for_the_frobenius_ball_only(self, seven_node, set_name):
+        # the rank-1 worst case breaks nonnegativity or the column budgets,
+        # so P + xi* lies outside xi1, xi2 and xif
+        spec = UncertaintySpec(1.0, pair_for_set(set_name))
+        call = lambda: empirical_phi_lower_bound(seven_node, uniform_vector(7), spec, set_name,
+                                                 n_samples=50, rng_seed=2, include_rank1=True)
+        if set_name == "xif_ball":
+            assert call() == 0.571393958833893
+        else:
+            with pytest.raises(ValueError, match=f"outside set {set_name!r}$"):
+                call()
+
     def test_mismatched_pair_rejected(self, seven_node):
         spec = UncertaintySpec(1.0, NormPair.L2_L2)
         with pytest.raises(ValueError):

@@ -63,6 +63,23 @@ class TestPagerank:
             prev_delta = delta
             x = x_next
 
+    @pytest.mark.parametrize("alpha,tol", [(0.85, 1e-10), (0.5, 1e-14), (0.99, 1e-8)])
+    def test_in_place_step_matches_the_expression_bit_for_bit(self, alpha, tol):
+        # the step as one expression, with new arrays each iteration, kept as
+        # the reference for pagerank's in-place step
+        P = web_graph(3000, 4)
+        e = uniform_vector(P.n)
+        x = e.copy()
+        for k in range(1, 100_001):
+            x_next = alpha * P.matvec(x) + (1.0 - alpha) * e
+            delta = float(np.abs(x_next - x).sum())
+            x = x_next
+            if delta <= tol:
+                break
+        report = pagerank(P, alpha=alpha, tol=tol)
+        assert report.iterations_used == k
+        assert report.final.tobytes() == x.tobytes()
+
     def test_max_iter_reported(self, seven_node):
         report = pagerank(seven_node, alpha=0.85, tol=1e-12, max_iter=3)
         assert report.stop_reason == STOP_MAX_ITER
