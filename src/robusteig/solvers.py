@@ -18,6 +18,7 @@ from .norms import NormPair, Objective, ObjectiveValue, UncertaintySpec, g2
 STOP_PHI_INCREASE = "phi_increase"
 STOP_MAX_ITER = "max_iter"
 STOP_TOLERANCE = "tolerance"
+STOP_GAP = "gap"
 
 # default pair used whenever a solver needs an objective but the caller gave
 # no uncertainty model: both norms Euclidean, unit budget
@@ -29,6 +30,9 @@ _FIRST_ROUND_TERMS = 64
 # regularized_power_method stops on a rise of phi above this, not on rounding
 _STALL_TOL = 1e-12
 
+# mirror_descent_minimize stops once best phi - lower bound <= _GAP_TOL * best phi
+_GAP_TOL = 1e-3
+
 
 @dataclass
 class SolveReport:
@@ -38,6 +42,11 @@ class SolveReport:
     starting point.  For the phi_increase stop the final iterate is the one
     preceding the first recorded increase.  pagerank records only the start
     and the final iterate; mirror descent records each new best iterate.
+
+    lower_bound is a certified lower bound on min phi over the simplex, so
+    objective.total - lower_bound bounds how far the returned objective is
+    from the optimum.  Mirror descent sets it on every return; the other
+    solvers leave it None.
     """
 
     final: np.ndarray
@@ -45,6 +54,7 @@ class SolveReport:
     iterations_used: int
     stop_reason: str
     objective: ObjectiveValue
+    lower_bound: float | None = None
 
 
 @dataclass
@@ -52,8 +62,9 @@ class SolverConfig:
     """Budgets of mirror_descent_minimize.
 
     max_iter bounds its regularized-power warm start; md_epochs epochs of
-    md_iters_per_epoch steps bound the descent itself.  alpha and tol are
-    validated but read by no solver: the benchmark still passes them.
+    md_iters_per_epoch steps bound the descent itself, which may stop
+    earlier on a certified duality gap.  alpha and tol are validated but
+    read by no solver: the benchmark still passes them.
     """
 
     alpha: float = 0.85
@@ -203,17 +214,26 @@ def _entropic_step(x: np.ndarray, g: np.ndarray, step: float) -> np.ndarray:
 def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
                             config: SolverConfig | None = None,
                             x0: np.ndarray | None = None) -> SolveReport:
-    """Minimize phi over the simplex by entropic mirror descent.
+    """Minimize phi over the simplex by entropic mirror descent, stopped on a
+    certified duality gap.
 
     Multiplicative updates x <- normalize(x * exp(-gamma g_k)) with g_k a
     subgradient of phi at x_k and steps scaled by 1/||g_k||_inf, tracking the
     best iterate seen.  Each step evaluates phi and its subgradient at the new
     iterate in one pass, so it costs one matvec and one rmatvec.  The steps
-    run in config.md_epochs epochs of config.md_iters_per_epoch steps; gamma
-    starts at 1 and halves after each epoch, and each epoch restarts from the
-    best iterate (and its stored subgradient), which drives the nonsmooth
-    objective to solver-level accuracy.  A zero subgradient stops the descent
-    with stop reason tolerance; otherwise it is max_iter.
+    run in at most config.md_epochs epochs of config.md_iters_per_epoch
+    steps; gamma starts at 1 and halves after each epoch, and each epoch
+    restarts from the best iterate (and its stored subgradient).
+
+    phi is convex and positively homogeneous, so every subgradient g taken
+    anywhere satisfies phi(y) >= <g, y> for all y, and min_j g_j bounds phi
+    from below on the simplex.  The largest such bound over the subgradients
+    of the solve (at x0, at the uniform point and at every step) is returned
+    as lower_bound; it costs one g.min() per step, which also gives
+    ||g||_inf.  The descent stops with reason gap, before the first step or
+    after any step, once best phi - lower_bound <= 1e-3 best phi (_GAP_TOL;
+    phi is positive on the simplex); a zero subgradient stops it with
+    reason tolerance; otherwise the schedule runs out with reason max_iter.
 
     Unless x0 is given, descent starts from the stopped regularized-power
     iterate (cheap and already good), so the returned objective never exceeds
@@ -225,32 +245,44 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
     objective = Objective(P, spec)
     best_x = check_score_vector(x0).copy()
     best_value, best_g = objective.evaluate(best_x, with_subgradient=True)
+    best_g_min = float(best_g.min())
     # the uniform point is cheap to evaluate and never worse than untried
     e = uniform_vector(P.n)
     e_value, e_g = objective.evaluate(e, with_subgradient=True)
+    e_g_min = float(e_g.min())
+    lower = max(best_g_min, e_g_min)
     if e_value.total < best_value.total:
-        best_x, best_value, best_g = e, e_value, e_g
+        best_x, best_value, best_g, best_g_min = e, e_value, e_g, e_g_min
+
+    def certified() -> bool:
+        return best_value.total - lower <= _GAP_TOL * best_value.total
+
     history = [(0, best_value.total)]
     iterations = 0
-    stop_reason = STOP_MAX_ITER
+    stop_reason = STOP_GAP if certified() else STOP_MAX_ITER
     gamma = 1.0
     for _ in range(config.md_epochs):
-        x, g = best_x.copy(), best_g
+        if stop_reason != STOP_MAX_ITER:
+            break
+        x, g, g_min = best_x.copy(), best_g, best_g_min
         for _ in range(config.md_iters_per_epoch):
-            g_inf = float(max(g.max(), -g.min()))        # ||g||_inf, no n-array
+            g_inf = max(float(g.max()), -g_min)          # ||g||_inf, no n-array
             if g_inf == 0.0:                             # x minimizes phi
                 stop_reason = STOP_TOLERANCE
                 break
             x = _entropic_step(x, g, gamma / g_inf)
             iterations += 1
             value, g = objective.evaluate(x, with_subgradient=True)
+            g_min = float(g.min())
+            lower = max(lower, g_min)
             if value.total < best_value.total:
-                best_x, best_value, best_g = x.copy(), value, g
+                best_x, best_value, best_g, best_g_min = x.copy(), value, g, g_min
                 history.append((iterations, value.total))
-        if stop_reason == STOP_TOLERANCE:
-            break
+            if certified():
+                stop_reason = STOP_GAP
+                break
         gamma /= 2.0
-    return SolveReport(best_x, history, iterations, stop_reason, best_value)
+    return SolveReport(best_x, history, iterations, stop_reason, best_value, lower)
 
 
 def _simplex_lattice_blocks(n: int, m: int, block_rows: int = 200_000):

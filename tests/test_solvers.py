@@ -13,8 +13,8 @@ from robusteig import (InputError, NormPair, SolverConfig,
 from robusteig import norms, solvers
 from robusteig.graph_matrix import out_degrees
 from robusteig.models import GridModelSpec, ModelVariant, model2_exact_scores
-from robusteig.solvers import (STOP_MAX_ITER, STOP_PHI_INCREASE, STOP_TOLERANCE,
-                               _entropic_step)
+from robusteig.solvers import (STOP_GAP, STOP_MAX_ITER, STOP_PHI_INCREASE,
+                               STOP_TOLERANCE, _entropic_step)
 
 from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, _g2_scan_loop,
                       _regularized_power_method_two_matvecs,
@@ -308,6 +308,18 @@ class TestAlgorithm1Work:
             objective.evaluate(np.ones(6) / 6, Px=x)
 
 
+def _counted_seven_node():
+    """The 7-node matrix, and the counts of its matvec and rmatvec calls."""
+    P = from_edge_list(edge_list(SEVEN_NODE_EDGES, 7))
+    counts = {"matvec": 0, "rmatvec": 0}
+    for name in counts:
+        def counted(v, name=name, method=getattr(P, name)):
+            counts[name] += 1
+            return method(v)
+        setattr(P, name, counted)
+    return P, counts
+
+
 class TestMirrorDescent:
     def test_swap_matrix_center_is_optimal(self):
         report = mirror_descent_minimize(SWAP, L2L2)
@@ -344,13 +356,7 @@ class TestMirrorDescent:
 
     @pytest.mark.parametrize("pair", list(NormPair))
     def test_one_matvec_and_one_rmatvec_per_step(self, pair):
-        P = from_edge_list(edge_list(SEVEN_NODE_EDGES, 7))
-        counts = {"matvec": 0, "rmatvec": 0}
-        for name in counts:
-            def counted(v, name=name, method=getattr(P, name)):
-                counts[name] += 1
-                return method(v)
-            setattr(P, name, counted)
+        P, counts = _counted_seven_node()
         spec = UncertaintySpec(1.0, pair, column_budgets=0.5)
         config = SolverConfig(md_epochs=3, md_iters_per_epoch=20)
         report = mirror_descent_minimize(P, spec, config, x0=uniform_vector(7))
@@ -361,7 +367,7 @@ class TestMirrorDescent:
 
     @pytest.mark.xfail(strict=True, reason="mirror descent stops above the l1g1 optimum "
                        "(phi 0.299039 against the LP's 20/69 = 0.289855); an exact LP "
-                       "solve for l1g1 is ROADMAP item 1")
+                       "solve for l1g1 is ROADMAP item 2")
     def test_l1g1_reaches_the_lp_optimum_on_seven_node(self, seven_node):
         spec = UncertaintySpec(1.0, NormPair.L1_G1, 0.3)
         report = mirror_descent_minimize(seven_node, spec, SolverConfig(max_iter=200))
@@ -420,6 +426,112 @@ class TestMirrorDescent:
             assert report.objective.total <= phi_value(seven_node, uniform_vector(7), spec)
             assert report.final.min() >= 0
             assert abs(report.final.sum() - 1) <= 1e-9
+
+
+def _criterion_8_matrices():
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        A = rng.uniform(0.0, 1.0, (3, 3))
+        yield SparseStochasticMatrix.from_dense(A / A.sum(axis=0))
+
+
+class RecordingObjective(norms.Objective):
+    """The objective of mirror descent, keeping phi of every point it evaluates."""
+
+    values = []
+
+    def evaluate(self, x, with_subgradient=False, **kwargs):
+        value, g = super().evaluate(x, with_subgradient, **kwargs)
+        self.values.append(value.total)
+        return value, g
+
+
+class TestGapCertificate:
+    """lower_bound bounds min phi over the simplex from below; the gap stop."""
+
+    def test_below_the_lp_optimum_on_seven_node_l1g1(self, seven_node):
+        spec = UncertaintySpec(1.0, NormPair.L1_G1, 0.3)
+        report = mirror_descent_minimize(seven_node, spec, SolverConfig(max_iter=200))
+        assert report.lower_bound <= 20 / 69
+
+    @pytest.mark.parametrize("pair", list(NormPair))
+    def test_below_the_grid_oracle_on_criterion_8_matrices(self, pair):
+        config = SolverConfig(md_epochs=4, md_iters_per_epoch=100)
+        resolution = 1 / 100 if pair is NormPair.L2_G2 else 1 / 400
+        for P in _criterion_8_matrices():
+            for eps in (0.1, 1.0, 10.0):
+                spec = UncertaintySpec(eps, pair)
+                report = mirror_descent_minimize(P, spec, config, x0=uniform_vector(3))
+                grid_best = phi_value(P, grid_oracle_minimize(P, spec, resolution), spec)
+                assert report.lower_bound <= grid_best
+
+    @pytest.mark.parametrize("pair", list(NormPair))
+    @pytest.mark.parametrize("case", ["seven-node", "web-inv-degree", "model2-grid-20"])
+    def test_below_phi_of_every_iterate(self, monkeypatch, case, pair):
+        build, _ = ALGORITHM1_CASES[case]
+        P, spec, max_iter = build(pair)
+        monkeypatch.setattr(RecordingObjective, "values", [])
+        monkeypatch.setattr(solvers, "Objective", RecordingObjective)
+        config = SolverConfig(max_iter=max_iter, md_epochs=4, md_iters_per_epoch=100)
+        report = mirror_descent_minimize(P, spec, config)
+        # the warm start's values, the two starting points and one per step
+        assert len(RecordingObjective.values) >= report.iterations_used + 2
+        assert report.lower_bound <= min(RecordingObjective.values)
+        assert all(report.lower_bound <= v for _, v in report.phi_history)
+
+    @pytest.mark.parametrize("gap_tol", [1e-2, 1e-3, 1e-4])
+    def test_a_gap_stop_meets_gap_tol(self, monkeypatch, seven_node, gap_tol):
+        monkeypatch.setattr(solvers, "_GAP_TOL", gap_tol)
+        grid = generate(GridModelSpec(20, ModelVariant.MODEL2))
+        inv_degree = 1.0 / out_degrees(grid).astype(float)
+        cases = [(seven_node, L2L2), (grid, L2L2),
+                 (grid, UncertaintySpec(1.0, NormPair.L2_G2, inv_degree))]
+        cases += [(P, UncertaintySpec(10.0, NormPair.L2_L2)) for P in _criterion_8_matrices()]
+        for P, spec in cases:
+            report = mirror_descent_minimize(P, spec)
+            assert report.stop_reason == STOP_GAP
+            total = report.objective.total
+            assert total - report.lower_bound <= gap_tol * total
+
+    def test_seven_node_l2l2_stops_at_857_steps(self, seven_node):
+        report = mirror_descent_minimize(seven_node, L2L2)
+        assert (report.stop_reason, report.iterations_used) == (STOP_GAP, 857)
+        assert report.objective.total == pytest.approx(0.45185287886, abs=1e-11)
+
+    def test_stopped_history_is_a_prefix_of_the_full_schedule(self, monkeypatch,
+                                                               seven_node):
+        stopped = mirror_descent_minimize(seven_node, L2L2)
+        monkeypatch.setattr(solvers, "_GAP_TOL", 0.0)
+        full = mirror_descent_minimize(seven_node, L2L2)
+        assert stopped.stop_reason == STOP_GAP
+        assert (full.stop_reason, full.iterations_used) == (STOP_MAX_ITER, 9000)
+        assert full.phi_history[:len(stopped.phi_history)] == stopped.phi_history
+        assert full.phi_history[len(stopped.phi_history)][0] > stopped.iterations_used
+        assert full.objective.total <= stopped.objective.total
+        assert full.lower_bound >= stopped.lower_bound
+
+    def test_certified_start_takes_no_step(self, monkeypatch, seven_node):
+        # a gap tolerance of 10 certifies any start whose bound is above -9 phi
+        monkeypatch.setattr(solvers, "_GAP_TOL", 10.0)
+        report = mirror_descent_minimize(seven_node, L2L2)
+        assert (report.stop_reason, report.iterations_used) == (STOP_GAP, 0)
+        assert report.phi_history == [(0, report.objective.total)]
+
+    @pytest.mark.parametrize("pair", [NormPair.L2_L2, NormPair.L2_G2])   # l1g1 never stops
+    def test_no_extra_matvec_or_rmatvec_while_the_stop_fires(self, monkeypatch, pair):
+        P, counts = _counted_seven_node()
+        spec = UncertaintySpec(1.0, pair, column_budgets=0.5)
+        monkeypatch.setattr(solvers, "_GAP_TOL", 1e-2)
+        report = mirror_descent_minimize(P, spec, x0=uniform_vector(7))
+        assert report.stop_reason == STOP_GAP
+        assert report.iterations_used > 0
+        setup = 4
+        assert counts["matvec"] <= report.iterations_used + setup
+        assert counts["rmatvec"] <= report.iterations_used + setup
+
+    def test_other_solvers_leave_it_unset(self, seven_node):
+        assert pagerank(seven_node).lower_bound is None
+        assert regularized_power_method(seven_node, L2L2).lower_bound is None
 
 
 class TestGridOracle:
