@@ -7,8 +7,10 @@ the probability simplex of
     phi(x) = ||P x - x||_(1) + eps * ||x||_(2)
 
 for three residual/penalty norm pairs, alongside classic PageRank, the
-Cesaro-averaged power method, and a regularized power method stopped at the
-first rise of phi.  Perturbation samplers and a worst-case rank-1
+Cesaro-averaged power method, the nominal eigenvector (the first checked
+power term, or else the average of a restarted Cesaro round, whose measured
+l1 residual ||P x - x||_1 is <= tol), and a regularized power method stopped
+at the first rise of phi.  Perturbation samplers and a worst-case rank-1
 construction verify the convex upper bounds empirically, and two grid-graph
 model families provide exact oracles at any size.
 """

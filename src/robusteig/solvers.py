@@ -116,17 +116,28 @@ def pagerank(P: SparseStochasticMatrix, alpha: float = 0.85, tol: float = 1e-10,
     return SolveReport(x, history, iterations, stop_reason, value)
 
 
-def _cesaro_round(P: SparseStochasticMatrix, x: np.ndarray,
-                  K: int) -> tuple[np.ndarray, np.ndarray]:
+def _l1_distance(a: np.ndarray, b: np.ndarray) -> float:
+    d = a - b
+    return float(np.abs(d, out=d).sum())
+
+
+def _cesaro_round(P: SparseStochasticMatrix, x: np.ndarray, K: int,
+                  tol: float | None = None) -> tuple[np.ndarray | None, np.ndarray]:
     """The average of the K terms x, Px, ..., P^{K-1} x, and its last term.
 
     K - 1 matvecs.  One more matvec on the last term gives P^K x, and with it
     the exact residual ||P^K x - x||_1 / K of the average.
+
+    With a tol, the i-th matvec of the round, for i = 1, 2, 4, 8, ..., also
+    measures the residual ||P^i x - P^{i-1} x||_1 of the term before it; once
+    that is <= tol the round stops and returns (None, P^{i-1} x).
     """
     current = x
     total = x.copy()
-    for _ in range(K - 1):
-        current = P.matvec(current)
+    for i in range(1, K):
+        previous, current = current, P.matvec(current)
+        if tol is not None and i & (i - 1) == 0 and _l1_distance(current, previous) <= tol:
+            return None, previous
         total += current
     return total / K, current
 
@@ -144,24 +155,41 @@ def averaged_power(P: SparseStochasticMatrix, K: int) -> np.ndarray:
 
 
 def dominant_eigenvector(P: SparseStochasticMatrix, tol: float = 1e-6) -> np.ndarray:
-    """A simplex vector with ||P x - x||_1 <= tol via restarted Cesaro averaging.
+    """A simplex vector with ||P x - x||_1 <= tol: the first checked power
+    term that meets tol, else the average of a restarted Cesaro round.
 
-    Each round averages K terms from x for K - 1 matvecs; one more, the next
-    term P^K x, gives the exact residual ||P^K x - x||_1 / K of the average,
-    which is returned once that is <= tol; otherwise the next round restarts
-    from it with K doubled, from 64 up to the cap ceil(2 / tol).  A round of
-    cap terms meets tol by the 2/K law (no spectral-gap assumption, periodic
-    chains included), so the loop always ends, after fewer than
-    3 ceil(2 / tol) matvecs.
+    Each round averages K terms from x for K - 1 matvecs and checks the
+    terms P^i x at i = 0, 1, 3, 7, ... as the next term is made (one
+    subtraction and one sum over n, no matvec); the first whose residual
+    ||P^{i+1} x - P^i x||_1 is <= tol is returned.  P is an l1 contraction,
+    so a term's residual never exceeds its predecessor's, and the check
+    stops within twice the first term that meets tol.  At the end of a
+    round one more matvec, the next term P^K x, gives the residual of the
+    last term and the exact residual ||P^K x - x||_1 / K of the average;
+    the last term, then the average, is returned if it meets tol, otherwise
+    the next round restarts from the average with K doubled, from 64 up to
+    the cap ceil(2 / tol).  A round of cap terms meets tol by the 2/K law (no
+    spectral-gap assumption, periodic chains included) and is returned
+    unchecked, so the loop always ends, after fewer than 3 ceil(2 / tol)
+    matvecs; where no term meets tol (periodic chains), the rounds and
+    their average are those of plain restarted averaging.  Every simplex
+    vector has residual <= 2, so tol >= 2 returns the uniform vector.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    cap = math.ceil(2.0 / tol)
+    cap = max(1, math.ceil(2.0 / tol))
     x = uniform_vector(P.n)
     K = min(_FIRST_ROUND_TERMS, cap)
     while True:
-        average, last = _cesaro_round(P, x, K)
-        if K == cap or np.abs(P.matvec(last) - x).sum() / K <= tol:
+        average, last = _cesaro_round(P, x, K, tol)
+        if average is None:
+            return last
+        if K == cap:
+            return average
+        following = P.matvec(last)
+        if _l1_distance(following, last) <= tol:
+            return last
+        if _l1_distance(following, x) / K <= tol:
             return average
         x, K = average, min(2 * K, cap)
 

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -106,6 +107,30 @@ def _regularized_power_method_two_matvecs(P, spec, max_iter=100_000, stall_tol=1
             return SolveReport(x_prev, history, k, STOP_PHI_INCREASE, value_prev)
         x_prev, value_prev = x, value
     return SolveReport(x_prev, history, max_iter, STOP_MAX_ITER, value_prev)
+
+
+def _restarted_cesaro_rounds(P, tol):
+    """The nominal solve as plain restarted Cesaro rounds: K terms from x, K
+    doubling from 64 up to ceil(2/tol), each round below the cap checked by
+    the residual ||P^K x - x||_1 / K of its average, the only vector returned.
+
+    The reference whose matvec count solvers.dominant_eigenvector, which also
+    checks power terms, must never exceed, and whose vector it must return
+    bit for bit where no power term meets tol.
+    """
+    cap = math.ceil(2.0 / tol)
+    x = uniform_vector(P.n)
+    K = min(64, cap)
+    while True:
+        current = x
+        total = x.copy()
+        for _ in range(K - 1):
+            current = P.matvec(current)
+            total += current
+        average = total / K
+        if K == cap or np.abs(P.matvec(current) - x).sum() / K <= tol:
+            return average
+        x, K = average, min(2 * K, cap)
 
 
 def _column_supports_dense(P):

@@ -95,6 +95,13 @@ class TestRank:
         _, second = run_cli(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("tol", ["inf", "3"])
+    def test_nominal_tol_of_two_or_more_scores_uniformly(self, capsys, tol):
+        # every simplex vector has residual <= 2, inf included
+        code, out = run_cli(capsys, "rank", "--model", "model2", "--n", "3",
+                            "--solver", "nominal", "--tol", tol)
+        assert code == 0
+        assert [s[0] for s in parse_csv_scores(out).values()] == [1 / 9] * 9
 
     def test_budgets_that_make_the_l1g1_penalty_linear_warn_on_stderr(
             self, capsys, seven_node_file):

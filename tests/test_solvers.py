@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -18,11 +19,16 @@ from robusteig.solvers import (STOP_GAP, STOP_MAX_ITER, STOP_PHI_INCREASE,
 
 from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, _g2_scan_loop,
                       _regularized_power_method_two_matvecs,
+                      _restarted_cesaro_rounds,
                       random_stochastic_dense, web_graph)
 
 L2L2 = UncertaintySpec(1.0, NormPair.L2_L2)
 
 SWAP = SparseStochasticMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
+
+# 0 -> 1 -> 2 -> {0, 3..9} -> 1: a chain of period 3, whose power terms never settle
+PERIOD_3_EDGES = ([(0, 1), (1, 2), (2, 0)] + [(2, j) for j in range(3, 10)]
+                  + [(j, 1) for j in range(3, 10)])
 
 
 def pagerank_linear_solve(P, alpha):
@@ -103,6 +109,27 @@ class MatvecBudget:
         return self.inner.matvec(x)
 
 
+def count_matvecs(solve, P, tol):
+    """solve(P, tol) and the number of matvecs it made."""
+    counter = MatvecBudget(P, 10**12)
+    x = solve(counter, tol)
+    return x, 10**12 - counter.budget
+
+
+def two_clusters(gap):
+    """Two complete clusters of 4 nodes; column j of each sends a quarter
+    (first cluster) or three quarters (second) of the spectral gap over one
+    weak link to node j of the other, so the stationary vector puts 3/4 of
+    the mass on the first cluster."""
+    m = 4
+    dense = np.zeros((2 * m, 2 * m))
+    dense[:m, :m] = (1 - gap / 4) / m
+    dense[m:, m:] = (1 - 3 * gap / 4) / m
+    dense[np.arange(m, 2 * m), np.arange(m)] = gap / 4
+    dense[np.arange(m), np.arange(m, 2 * m)] = 3 * gap / 4
+    return SparseStochasticMatrix.from_dense(dense)
+
+
 class TestAveragedPower:
     def test_single_term_is_the_uniform_start(self, seven_node):
         np.testing.assert_array_equal(averaged_power(seven_node, 1), uniform_vector(7))
@@ -169,13 +196,70 @@ class TestDominantEigenvector:
         x = dominant_eigenvector(P, tol=1e-10)
         assert residual(P.inner, x, "l1") <= 1e-10
 
-    def test_round_at_the_cap_is_certified_by_the_2_over_K_law(self, seven_node):
-        # the first round of 64 terms leaves residual 0.0223 > tol, so the next
-        # round runs at the cap ceil(2/tol) = 100 terms and returns unchecked
-        P = MatvecBudget(seven_node, 64 + 99)
+    def test_round_at_the_cap_is_certified_by_the_2_over_K_law(self):
+        # a period-3 chain, so no power term meets tol; the first round of 64
+        # terms leaves residual 0.0219 > tol, so the next round runs at the cap
+        # ceil(2/tol) = 100 terms and returns unchecked
+        chain = from_edge_list(edge_list(PERIOD_3_EDGES, 10))
+        P = MatvecBudget(chain, 64 + 99)
+        x = dominant_eigenvector(P, tol=0.02)
+        assert P.budget == 0
+        assert residual(chain, x, "l1") <= 0.02
+
+    def test_first_checked_power_term_that_meets_tol(self, seven_node):
+        # P^31 e, the sixth checked term, is within tol; the first round's
+        # average, with residual 0.0223, is not
+        P = MatvecBudget(seven_node, 32)
         x = dominant_eigenvector(P, tol=0.02)
         assert P.budget == 0
         assert residual(seven_node, x, "l1") <= 0.02
+        term = uniform_vector(7)
+        for _ in range(31):
+            term = seven_node.matvec(term)
+        np.testing.assert_array_equal(x, term)
+
+    @pytest.mark.parametrize("tol, plain_count", [(1e-8, 1984), (1e-10, 4032)])
+    def test_periodic_grid_gives_the_plain_rounds_bit_for_bit(self, tol, plain_count):
+        P = generate(GridModelSpec(20, ModelVariant.MODEL2))
+        want, count = count_matvecs(_restarted_cesaro_rounds, P, tol)
+        assert count == plain_count
+        budget = MatvecBudget(P, count)
+        np.testing.assert_array_equal(dominant_eigenvector(budget, tol), want)
+        assert budget.budget == 0
+
+    @pytest.mark.parametrize("graph, tols", [
+        ("seven-node", (0.5, 0.02, 1e-4, 1e-6, 1e-10)),
+        ("model1", (1e-4, 1e-10)),
+        ("period-3", (0.5, 0.02, 1e-6)),
+    ])
+    def test_never_more_matvecs_than_the_plain_rounds(self, seven_node, graph, tols):
+        P = {"seven-node": seven_node,
+             "model1": generate(GridModelSpec(30, ModelVariant.MODEL1)),
+             "period-3": from_edge_list(edge_list(PERIOD_3_EDGES, 10))}[graph]
+        for tol in tols:
+            _, plain_count = count_matvecs(_restarted_cesaro_rounds, P, tol)
+            x, count = count_matvecs(dominant_eigenvector, P, tol)
+            assert count <= plain_count
+            assert residual(P, x, "l1") <= tol
+
+    @pytest.mark.parametrize("gap, plain_count",
+                             [(1e-4, 131_008), (1e-5, 524_224), (1e-6, 64)])
+    def test_weakly_linked_clusters_meet_tol_within_the_plain_rounds(self, gap, plain_count):
+        # plain_count is what _restarted_cesaro_rounds makes at tol 1e-6, fixed
+        # here because it takes seconds to recount; at gap 1e-6 the uniform
+        # start's residual is already gap/2, within tol
+        P = two_clusters(gap)
+        budget = MatvecBudget(P, plain_count)
+        x = dominant_eigenvector(budget, tol=1e-6)
+        assert residual(P, x, "l1") <= 1e-6
+
+    @pytest.mark.parametrize("tol", [2.0, 3.0, float("inf")])
+    def test_tol_of_two_or_more_returns_the_uniform_vector(self, seven_node, tol):
+        # every simplex vector has residual <= 2, so no matvec is needed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = dominant_eigenvector(MatvecBudget(seven_node, 0), tol)
+        np.testing.assert_array_equal(x, uniform_vector(7))
 
 
 class TestRegularizedPowerMethod:
