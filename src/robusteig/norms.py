@@ -239,6 +239,12 @@ def _g1_with_dual(x: np.ndarray, c: np.ndarray,
     return _g1_scan(x, c)
 
 
+# g2's rescaled scan moves max |x_j| just below 2^_G2_TOP: a sum of squares of
+# up to 2^200 entries stays finite, and every entry down to 2^-(_G2_TOP + 511)
+# of the largest keeps a normal square
+_G2_TOP = 400
+
+
 def _g2_mass(c: np.ndarray) -> float:
     """sum_j c_j^2, the mass that g2 compares with 1 over the support of x.
 
@@ -248,8 +254,8 @@ def _g2_mass(c: np.ndarray) -> float:
     return float(np.sum(c * c))
 
 
-def _g2_with_dual(x: np.ndarray, c: np.ndarray,
-                  mass: float | None = None) -> tuple[float, np.ndarray]:
+def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
+                  rescaled: bool = False) -> tuple[float, np.ndarray]:
     """g2 value and optimizing dual z of max{z.x : ||z||_2 <= 1, |z_j| <= c_j}.
 
     The optimal z clamps x/rho at the box, z_j = clamp(x_j / rho, +-c_j); rho
@@ -274,6 +280,13 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray,
 
     mass is _g2_mass(c), which callers holding c may cache.  A mass above 1
     only by rounding can leave no slot consistent; g2 is then the box value.
+    Squares that underflow (|x_j| below about 1e-154, as on the entries an
+    entropic descent drives out) can too: the scan is then redone, once, on
+    x scaled by a power of two to max |x_j| just below 2^_G2_TOP, which
+    changes no bit of the arithmetic but the underflow.  Entries whose
+    squares still underflow, below about 2^-911 of the largest, are dropped:
+    they add at most n 2^-911 max |x_j| to the value, and z_j = 0 there
+    keeps z dual feasible.
     """
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
@@ -319,7 +332,13 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray,
             capped = np.add.accumulate((c_o[k:] * a_o[k:])[::-1])[-1] if k < m else 0.0
             value = float(capped + uncapped[i] / r)
         elif mass - 1.0 > 2.0 * (m + 8) * np.finfo(float).eps:
-            raise RuntimeError("g2 breakpoint scan found no consistent interval")
+            if rescaled or not np.isfinite(a.max()):
+                raise RuntimeError("g2 breakpoint scan found no consistent interval")
+            shift = _G2_TOP - math.frexp(float(a.max()))[1]
+            x = np.ldexp(x, shift)                 # exact; max |x_j| now below 2^_G2_TOP
+            x[np.abs(x) < 2.0 ** -511] = 0.0       # squares below the normal range
+            value, z = _g2_with_dual(x, c, rescaled=True)
+            return math.ldexp(value, -shift), z
     if r is None:
         value = float(np.sum(c_s * a_s))
         z_s = np.copysign(c_s, x_s)

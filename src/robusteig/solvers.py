@@ -1,11 +1,14 @@
 """Score-vector solvers: PageRank, Cesaro-averaged power method, the
 regularized power method with its objective-increase stopping rule, an exact
-first-order minimizer of the robust objective, and a brute-force simplex-grid
+first-order minimizer of the robust objective (Barzilai-Borwein steps on the
+l2 pairs, a halving step schedule on l1g1, both stopped by a certified
+duality gap within a budget of evaluations), and a brute-force simplex-grid
 oracle for tiny instances.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -33,6 +36,19 @@ _STALL_TOL = 1e-12
 # mirror_descent_minimize stops once best phi - lower bound <= _GAP_TOL * best phi
 _GAP_TOL = 1e-3
 
+# its line search on the l2 pairs accepts a step when phi is at most the
+# largest of the last _LINE_SEARCH_MEMORY accepted values plus
+# _SUFFICIENT_DECREASE times g.(x_new - x)
+_LINE_SEARCH_MEMORY = 10
+_SUFFICIENT_DECREASE = 1e-4
+
+# and caps each step so that its exponents step (max g - g_j) stay within
+# _MAX_EXPONENT: the bound of the halving schedule's first epoch, far inside
+# exp's range (it overflows past 709).  Entries that phi barely sees (x_j
+# near 0) still set min g; on 2000-node web graphs under l2g2 at eps 5 to 20,
+# caps of 4 and more made them oscillate on some, and the gap stop never fired
+_MAX_EXPONENT = 2.0
+
 
 @dataclass
 class SolveReport:
@@ -42,6 +58,10 @@ class SolveReport:
     starting point.  For the phi_increase stop the final iterate is the one
     preceding the first recorded increase.  pagerank records only the start
     and the final iterate; mirror descent records each new best iterate.
+
+    iterations_used counts iterations, or for mirror descent its
+    evaluations of phi and a subgradient, each one matvec and one rmatvec:
+    on l2l2 and l2g2 those include the trials its line search rejects.
 
     lower_bound is a certified lower bound on min phi over the simplex, so
     objective.total - lower_bound bounds how far the returned objective is
@@ -61,10 +81,12 @@ class SolveReport:
 class SolverConfig:
     """Budgets of mirror_descent_minimize.
 
-    max_iter bounds its regularized-power warm start; md_epochs epochs of
-    md_iters_per_epoch steps bound the descent itself, which may stop
-    earlier on a certified duality gap.  alpha and tol are validated but
-    read by no solver: the benchmark still passes them.
+    max_iter bounds its regularized-power warm start.  md_epochs *
+    md_iters_per_epoch bounds the evaluations of the descent itself, which
+    may stop earlier on a certified duality gap; l1g1 also takes its step
+    schedule from them (md_epochs epochs of md_iters_per_epoch steps).  alpha
+    and tol are validated but read by no solver: the benchmark still passes
+    them.
     """
 
     alpha: float = 0.85
@@ -78,8 +100,9 @@ class SolverConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        for name in ("max_iter", "md_epochs", "md_iters_per_epoch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def pagerank(P: SparseStochasticMatrix, alpha: float = 0.85, tol: float = 1e-10,
@@ -239,29 +262,138 @@ def _entropic_step(x: np.ndarray, g: np.ndarray, step: float) -> np.ndarray:
     return w
 
 
+class _Descent:
+    """The evaluations of one robust solve, each of which may raise the
+    certified lower bound and replace the best point."""
+
+    def __init__(self, objective: Objective, x0: np.ndarray):
+        self.objective = objective
+        self.evaluations = 0
+        self.lower = -math.inf
+        self.best_value = None
+        self._offer(x0)
+        # the uniform point is cheap to evaluate and never worse than untried
+        self._offer(uniform_vector(x0.size))
+        self.history = [(0, self.best_value.total)]
+
+    def _offer(self, x: np.ndarray) -> tuple[ObjectiveValue, np.ndarray, float]:
+        value, g = self.objective.evaluate(x, with_subgradient=True)
+        g_min = float(g.min())
+        self.lower = max(self.lower, g_min)
+        if self.best_value is None or value.total < self.best_value.total:
+            self.best_x, self.best_value, self.best_g, self.best_g_min = x, value, g, g_min
+            if self.evaluations:
+                self.history.append((self.evaluations, value.total))
+        return value, g, g_min
+
+    def evaluate(self, x: np.ndarray) -> tuple[ObjectiveValue, np.ndarray, float]:
+        """phi at x, a subgradient g there and min g: one evaluation of the
+        budget, one matvec and one rmatvec."""
+        self.evaluations += 1
+        return self._offer(x)
+
+    def certified(self) -> bool:
+        return self.best_value.total - self.lower <= _GAP_TOL * self.best_value.total
+
+
+def _halving_schedule(descent: _Descent, config: SolverConfig) -> str:
+    """config.md_epochs epochs of config.md_iters_per_epoch steps of
+    gamma / ||g||_inf, gamma 1 halved after each epoch and each epoch
+    restarted from the best point; returns the stop reason."""
+    gamma = 1.0
+    for _ in range(config.md_epochs):
+        x, g, g_min = descent.best_x, descent.best_g, descent.best_g_min
+        for _ in range(config.md_iters_per_epoch):
+            g_inf = max(float(g.max()), -g_min)          # ||g||_inf, no n-array
+            if g_inf == 0.0:                             # x minimizes phi
+                return STOP_TOLERANCE
+            x = _entropic_step(x, g, gamma / g_inf)
+            _, g, g_min = descent.evaluate(x)
+            if descent.certified():
+                return STOP_GAP
+        gamma /= 2.0
+    return STOP_MAX_ITER
+
+
+def _barzilai_borwein(descent: _Descent, budget: int) -> str:
+    """Entropic steps sized by Barzilai-Borwein quotients under a nonmonotone
+    line search, for at most budget evaluations; returns the stop reason.
+
+    After an accepted step s = x' - x, with y the change of g, the next step
+    is sum_j s_j log(x'_j / x_j) / (s . y): the quotient sum_j s_j^2 / m_j /
+    (s . y) of the entropic metric, with m_j the logarithmic mean of x_j and
+    x'_j, which skips the entries where both are 0.  An entropic step makes
+    the numerator -step g . s, a number the line search already holds, and
+    phi is positively homogeneous, so g . x = phi(x) for the subgradients of
+    Objective: each evaluation adds one dot product over n (g . x') to the
+    matvec, the rmatvec and the penalty, and each accepted one another
+    (g' . x) and a max.  Where s . y <= 0, or rounding leaves g . s >= 0
+    (which a descent step cannot give exactly), the step doubles instead: a
+    quotient of -0.0 there once froze the iterate.
+    """
+    x, g, g_min = descent.best_x, descent.best_g, descent.best_g_min
+    phi_x = descent.best_value.total                 # = g . x: phi is homogeneous
+    recent = collections.deque([phi_x], maxlen=_LINE_SEARCH_MEMORY)
+    g_max = float(g.max())
+    step = 1.0 / max(g_max, -g_min)
+    while descent.evaluations < budget:
+        if g_max == g_min:                   # phi(y) >= g.y = phi(x) on the simplex
+            return STOP_TOLERANCE
+        step = min(step, _MAX_EXPONENT / (g_max - g_min))
+        x_new = _entropic_step(x, g, step)
+        value, g_new, g_new_min = descent.evaluate(x_new)
+        if descent.certified():
+            return STOP_GAP
+        g_s = float(g @ x_new) - phi_x                   # g . s, < 0 but for rounding
+        if value.total > max(recent) + _SUFFICIENT_DECREASE * g_s:
+            step /= 2.0
+            continue
+        recent.append(value.total)
+        s_y = value.total - float(g_new @ x) - g_s       # (g_new - g) . s
+        step = -step * g_s / s_y if s_y > 0.0 and g_s < 0.0 else 2.0 * step
+        x, g, g_min, g_max, phi_x = x_new, g_new, g_new_min, float(g_new.max()), value.total
+    return STOP_MAX_ITER
+
+
 def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
                             config: SolverConfig | None = None,
                             x0: np.ndarray | None = None) -> SolveReport:
     """Minimize phi over the simplex by entropic mirror descent, stopped on a
     certified duality gap.
 
-    Multiplicative updates x <- normalize(x * exp(-gamma g_k)) with g_k a
-    subgradient of phi at x_k and steps scaled by 1/||g_k||_inf, tracking the
-    best iterate seen.  Each step evaluates phi and its subgradient at the new
-    iterate in one pass, so it costs one matvec and one rmatvec.  The steps
-    run in at most config.md_epochs epochs of config.md_iters_per_epoch
-    steps; gamma starts at 1 and halves after each epoch, and each epoch
-    restarts from the best iterate (and its stored subgradient).
+    Multiplicative steps x <- normalize(x * exp(-eta g)), with g a
+    subgradient of phi at x, tracking the best point evaluated.  Each
+    evaluation of phi and its subgradient, in one pass, costs one matvec and
+    one rmatvec; config.md_epochs * config.md_iters_per_epoch evaluations
+    bound the descent, and iterations_used counts them (the two at x0 and at
+    the uniform point aside).
+
+    The step rule depends on the pair.  l2l2 and l2g2 are smooth wherever
+    P x != x and x_j > 0, and take Barzilai-Borwein steps (Barzilai &
+    Borwein 1988) in the entropic metric: eta starts at 1 / ||g||_inf, and
+    after each accepted step s, with y the change of g, it becomes
+    sum_j s_j^2 / m_j / (s . y), m_j the logarithmic mean of the old and new
+    x_j (doubled instead when s . y <= 0, or when rounding leaves g . s >= 0
+    on an accepted step).  A nonmonotone line search
+    (Birgin, Martinez & Raydan 2000) accepts the new point when phi there is
+    at most the largest of the last 10 accepted values plus 1e-4 g . s;
+    otherwise eta halves and the step is tried again, and the rejected trial
+    counts against the budget like any other evaluation.  No step lets
+    eta (max g - g_j) pass 2.  l1g1, a linear program and nonsmooth
+    everywhere, keeps a fixed schedule: md_epochs epochs of
+    md_iters_per_epoch steps of gamma / ||g||_inf, gamma 1 halved after each
+    epoch, each epoch restarting from the best point.
 
     phi is convex and positively homogeneous, so every subgradient g taken
     anywhere satisfies phi(y) >= <g, y> for all y, and min_j g_j bounds phi
     from below on the simplex.  The largest such bound over the subgradients
-    of the solve (at x0, at the uniform point and at every step) is returned
-    as lower_bound; it costs one g.min() per step, which also gives
-    ||g||_inf.  The descent stops with reason gap, before the first step or
-    after any step, once best phi - lower_bound <= 1e-3 best phi (_GAP_TOL;
-    phi is positive on the simplex); a zero subgradient stops it with
-    reason tolerance; otherwise the schedule runs out with reason max_iter.
+    of the solve (at x0, at the uniform point and at every evaluation) is
+    returned as lower_bound; it costs one g.min() per evaluation.  The
+    descent stops with reason gap, before the first step or after any
+    evaluation, once best phi - lower_bound <= 1e-3 best phi (_GAP_TOL; phi
+    is positive on the simplex); a constant subgradient (x minimizes phi)
+    stops it with reason tolerance; otherwise the budget runs out with
+    reason max_iter.
 
     Unless x0 is given, descent starts from the stopped regularized-power
     iterate (cheap and already good), so the returned objective never exceeds
@@ -270,47 +402,15 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
     config = config or SolverConfig()
     if x0 is None:
         x0 = regularized_power_method(P, spec, max_iter=config.max_iter).final
-    objective = Objective(P, spec)
-    best_x = check_score_vector(x0).copy()
-    best_value, best_g = objective.evaluate(best_x, with_subgradient=True)
-    best_g_min = float(best_g.min())
-    # the uniform point is cheap to evaluate and never worse than untried
-    e = uniform_vector(P.n)
-    e_value, e_g = objective.evaluate(e, with_subgradient=True)
-    e_g_min = float(e_g.min())
-    lower = max(best_g_min, e_g_min)
-    if e_value.total < best_value.total:
-        best_x, best_value, best_g, best_g_min = e, e_value, e_g, e_g_min
-
-    def certified() -> bool:
-        return best_value.total - lower <= _GAP_TOL * best_value.total
-
-    history = [(0, best_value.total)]
-    iterations = 0
-    stop_reason = STOP_GAP if certified() else STOP_MAX_ITER
-    gamma = 1.0
-    for _ in range(config.md_epochs):
-        if stop_reason != STOP_MAX_ITER:
-            break
-        x, g, g_min = best_x.copy(), best_g, best_g_min
-        for _ in range(config.md_iters_per_epoch):
-            g_inf = max(float(g.max()), -g_min)          # ||g||_inf, no n-array
-            if g_inf == 0.0:                             # x minimizes phi
-                stop_reason = STOP_TOLERANCE
-                break
-            x = _entropic_step(x, g, gamma / g_inf)
-            iterations += 1
-            value, g = objective.evaluate(x, with_subgradient=True)
-            g_min = float(g.min())
-            lower = max(lower, g_min)
-            if value.total < best_value.total:
-                best_x, best_value, best_g, best_g_min = x.copy(), value, g, g_min
-                history.append((iterations, value.total))
-            if certified():
-                stop_reason = STOP_GAP
-                break
-        gamma /= 2.0
-    return SolveReport(best_x, history, iterations, stop_reason, best_value, lower)
+    descent = _Descent(Objective(P, spec), check_score_vector(x0).copy())
+    if descent.certified():
+        stop_reason = STOP_GAP
+    elif spec.pair is NormPair.L1_G1:
+        stop_reason = _halving_schedule(descent, config)
+    else:
+        stop_reason = _barzilai_borwein(descent, config.md_epochs * config.md_iters_per_epoch)
+    return SolveReport(descent.best_x, descent.history, descent.evaluations, stop_reason,
+                       descent.best_value, descent.lower)
 
 
 def _simplex_lattice_blocks(n: int, m: int, block_rows: int = 200_000):

@@ -210,6 +210,33 @@ class TestOracles:
             np.testing.assert_allclose(z, np.sign(x) * c, rtol=1e-10)
             assert np.linalg.norm(z) <= 1.0 + 1e-12
 
+    def test_g2_on_entries_whose_squares_underflow(self):
+        # three entries hold box mass 0.75, so the slot that holds lies among
+        # the tiny rest, whose squares underflow: the scan found no consistent
+        # interval and raised.  Scaled by a power of two it needs no
+        # rescaling, and the scale changes no other bit
+        rng = np.random.default_rng(22)
+        n = 50
+        c = np.full(n, 0.5)
+        x = np.concatenate([[0.3, 0.3, 0.4], rng.random(n - 3) * 1e-200])
+        x /= x.sum()
+        value, z = _g2_with_dual(x, c)
+        want_value, want_z = _g2_with_dual(x * 2.0 ** 400, c)
+        assert value == want_value / 2.0 ** 400
+        assert z.tobytes() == want_z.tobytes()
+        assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-12)
+        assert (np.abs(z) <= c).all() and (z[3:] > 0).all()
+
+    def test_g2_drops_entries_too_small_for_any_scale(self):
+        # squares of entries 1e-300 of the largest underflow at every scale
+        # that keeps the largest square finite: they are dropped, which leaves
+        # box mass 0.75 and the box value
+        c = np.full(50, 0.5)
+        x = np.concatenate([[0.3, 0.3, 0.4], np.full(47, 1e-300)])
+        value, z = _g2_with_dual(x, c)
+        assert value == pytest.approx(0.5, rel=1e-15)
+        assert z.tolist() == [0.5] * 3 + [0.0] * 47
+
     def test_g1_selection_matches_the_full_scan_bit_for_bit(self):
         rng = np.random.default_rng(13)
         for n in (1, 7, 255, 256, 400, 2000, 3000):

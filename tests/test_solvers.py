@@ -394,7 +394,11 @@ class TestAlgorithm1Work:
 
 def _counted_seven_node():
     """The 7-node matrix, and the counts of its matvec and rmatvec calls."""
-    P = from_edge_list(edge_list(SEVEN_NODE_EDGES, 7))
+    return _counted(from_edge_list(edge_list(SEVEN_NODE_EDGES, 7)))
+
+
+def _counted(P):
+    """P, and the counts of its matvec and rmatvec calls."""
     counts = {"matvec": 0, "rmatvec": 0}
     for name in counts:
         def counted(v, name=name, method=getattr(P, name)):
@@ -440,14 +444,17 @@ class TestMirrorDescent:
 
     @pytest.mark.parametrize("pair", list(NormPair))
     def test_one_matvec_and_one_rmatvec_per_step(self, pair):
+        # l1g1 runs its schedule of 3 x 20 steps; the l2 pairs stop on the gap
+        # within that budget.  Setup: x0 and the uniform point
         P, counts = _counted_seven_node()
         spec = UncertaintySpec(1.0, pair, column_budgets=0.5)
         config = SolverConfig(md_epochs=3, md_iters_per_epoch=20)
         report = mirror_descent_minimize(P, spec, config, x0=uniform_vector(7))
-        assert report.iterations_used == 60
-        setup = 4
-        assert counts["matvec"] <= report.iterations_used + setup
-        assert counts["rmatvec"] <= report.iterations_used + setup
+        if pair is NormPair.L1_G1:
+            assert report.iterations_used == 60
+        else:
+            assert report.stop_reason == STOP_GAP and report.iterations_used < 60
+        assert counts["matvec"] == counts["rmatvec"] == report.iterations_used + 2
 
     @pytest.mark.xfail(strict=True, reason="mirror descent stops above the l1g1 optimum "
                        "(phi 0.299039 against the LP's 20/69 = 0.289855); an exact LP "
@@ -461,6 +468,7 @@ class TestMirrorDescent:
         P = web_graph(300, 17)
         spec = UncertaintySpec(1.0, NormPair.L2_G2, 1.0 / out_degrees(P).astype(float))
         config = SolverConfig(md_epochs=2)
+        monkeypatch.setattr(solvers, "_GAP_TOL", 0.0)         # the whole budget
         report = mirror_descent_minimize(P, spec, config)
         monkeypatch.setattr(norms, "_g2_with_dual", lambda x, c, mass=None: _g2_scan_loop(x, c))
         want = mirror_descent_minimize(P, spec, config)
@@ -468,15 +476,13 @@ class TestMirrorDescent:
         assert report.final.tobytes() == want.final.tobytes()
         assert report.phi_history == want.phi_history
 
-    @pytest.mark.parametrize("pair, eps", [(NormPair.L2_L2, 0.01), (NormPair.L1_G1, 0.3),
-                                           (NormPair.L2_G2, 0.01)])
-    def test_step_scale_keeps_the_trajectory(self, monkeypatch, pair, eps):
-        # each step against one scaled by np.abs(g).max(), the epoch's gamma
-        # taken from the count of steps so far; in each case some steps have
-        # -min g > max g and others the reverse
-        P = (from_edge_list(edge_list(SEVEN_NODE_EDGES, 7)) if pair is NormPair.L1_G1
-             else web_graph(300, 19))
-        spec = UncertaintySpec(eps, pair, 0.3)
+    @pytest.mark.parametrize("eps", [0.01, 0.3, 1.0])
+    def test_step_scale_keeps_the_trajectory(self, monkeypatch, eps):
+        # l1g1's schedule: each step against one scaled by np.abs(g).max(),
+        # the epoch's gamma taken from the count of steps so far; in each case
+        # some steps have -min g > max g and others the reverse
+        P = from_edge_list(edge_list(SEVEN_NODE_EDGES, 7))
+        spec = UncertaintySpec(eps, NormPair.L1_G1, 0.3)
         config = SolverConfig(md_epochs=3, md_iters_per_epoch=60)
         x0 = np.random.default_rng(20).dirichlet(np.ones(P.n))    # no warm start
         report = mirror_descent_minimize(P, spec, config, x0)
@@ -510,6 +516,112 @@ class TestMirrorDescent:
             assert report.objective.total <= phi_value(seven_node, uniform_vector(7), spec)
             assert report.final.min() >= 0
             assert abs(report.final.sum() - 1) <= 1e-9
+
+
+def _web_inv_degree(seed, pair, eps=1.0):
+    """web_graph(2000, seed), counted, and the pair under inv-degree budgets."""
+    P, counts = _counted(web_graph(2000, seed))
+    return P, counts, UncertaintySpec(eps, pair, 1.0 / out_degrees(P).astype(float))
+
+
+L2_PAIRS = [NormPair.L2_L2, NormPair.L2_G2]
+
+
+class TestBarzilaiBorwein:
+    """The l2 pairs' steps: Barzilai-Borwein quotients and a line search."""
+
+    @pytest.mark.parametrize("pair, eps, seed", [(NormPair.L2_L2, 1.0, 2),
+                                                 (NormPair.L2_G2, 1.0, 1),
+                                                 (NormPair.L2_G2, 10.0, 1)])
+    def test_stops_on_the_gap_within_a_few_hundred_evaluations(self, pair, eps, seed):
+        # the halving schedule ran all 9000 steps at eps 1 on these graphs;
+        # at eps 10, uncapped steps made entries near 0 oscillate and so did
+        P, counts, spec = _web_inv_degree(seed, pair, eps)
+        report = mirror_descent_minimize(P, spec, x0=uniform_vector(P.n))
+        assert report.stop_reason == STOP_GAP
+        assert report.iterations_used <= 500
+        total = report.objective.total
+        assert total - report.lower_bound <= 1e-3 * total
+        assert counts["matvec"] == counts["rmatvec"] == report.iterations_used + 2
+
+    @pytest.mark.parametrize("pair", L2_PAIRS)
+    def test_a_budget_of_five_holds_while_the_line_search_backtracks(self, monkeypatch,
+                                                                     pair):
+        # a sufficient decrease no trial meets: every trial is rejected and
+        # halves the step, and each counts against the budget
+        P, counts, spec = _web_inv_degree(4, pair)
+        monkeypatch.setattr(solvers, "_SUFFICIENT_DECREASE", 1e12)
+        steps = []
+
+        def recorded(x, g, step):
+            steps.append(step)
+            return _entropic_step(x, g, step)
+
+        monkeypatch.setattr(solvers, "_entropic_step", recorded)
+        config = SolverConfig(md_epochs=1, md_iters_per_epoch=5)
+        report = mirror_descent_minimize(P, spec, config, x0=uniform_vector(P.n))
+        assert (report.stop_reason, report.iterations_used) == (STOP_MAX_ITER, 5)
+        assert counts["matvec"] == counts["rmatvec"] == 7
+        assert steps == [steps[0] / 2.0 ** k for k in range(5)]
+
+    @pytest.mark.parametrize("pair", L2_PAIRS)
+    def test_never_above_x0_or_the_uniform_point(self, pair):
+        P, _, spec = _web_inv_degree(5, pair)
+        e = uniform_vector(P.n)
+        for x0 in (np.random.default_rng(23).dirichlet(np.ones(P.n)), e):
+            for budget in (1, 5, 50):
+                config = SolverConfig(md_epochs=1, md_iters_per_epoch=budget)
+                report = mirror_descent_minimize(P, spec, config, x0=x0)
+                assert report.iterations_used <= budget
+                assert report.objective.total <= phi_value(P, x0, spec)
+                assert report.objective.total <= phi_value(P, e, spec)
+
+    def test_steps_are_capped_where_the_quotient_is_larger(self, monkeypatch):
+        # on this solve the quotient passes the cap, and no step's exponents
+        # step (max g - g_j) pass it
+        P, _, spec = _web_inv_degree(1, NormPair.L2_G2, 10.0)
+        spans = []
+
+        def recorded(x, g, step):
+            spans.append(step * float(g.max() - g.min()))
+            return _entropic_step(x, g, step)
+
+        monkeypatch.setattr(solvers, "_entropic_step", recorded)
+        mirror_descent_minimize(P, spec, x0=uniform_vector(P.n))
+        assert max(spans) <= solvers._MAX_EXPONENT * (1 + 1e-12)
+        assert sum(span >= solvers._MAX_EXPONENT * (1 - 1e-12) for span in spans) >= 5
+
+    @pytest.mark.parametrize("step", [1.0, 1e10, 1e300])
+    def test_a_capped_step_keeps_the_simplex_and_its_zeros(self, step):
+        rng = np.random.default_rng(24)
+        x = rng.dirichlet(np.ones(1000))
+        x[::3] = 0.0
+        x /= x.sum()
+        g = rng.standard_normal(1000) * 50.0
+        capped = min(step, solvers._MAX_EXPONENT / float(g.max() - g.min()))
+        y = _entropic_step(x, g, capped)
+        assert np.isfinite(y).all() and y.min() >= 0.0
+        assert abs(y.sum() - 1.0) <= 1e-12
+        assert (y[::3] == 0.0).all()
+        if step == 1e300:                        # what the cap prevents: exp overflows
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(_entropic_step(x, g, step)).all()
+
+    @pytest.mark.parametrize("pair", L2_PAIRS)
+    def test_a_start_with_zero_entries(self, pair):
+        # near the optimum, with a third of the entries set to 0: better than
+        # the uniform point, so the descent starts there; zeros stay zeros
+        P, _, spec = _web_inv_degree(6, pair)
+        x0 = mirror_descent_minimize(P, spec, x0=uniform_vector(P.n)).final.copy()
+        x0[np.argsort(x0)[:P.n // 3]] = 0.0
+        x0 /= x0.sum()
+        assert phi_value(P, x0, spec) < phi_value(P, uniform_vector(P.n), spec)
+        config = SolverConfig(md_epochs=1, md_iters_per_epoch=300)
+        report = mirror_descent_minimize(P, spec, config, x0=x0)
+        assert report.phi_history[0] == (0, phi_value(P, x0, spec))
+        assert np.isfinite(report.final).all() and np.isfinite(report.lower_bound)
+        assert (report.final[x0 == 0.0] == 0.0).all()
+        assert report.lower_bound <= report.objective.total <= phi_value(P, x0, spec)
 
 
 def _criterion_8_matrices():
@@ -577,10 +689,10 @@ class TestGapCertificate:
             total = report.objective.total
             assert total - report.lower_bound <= gap_tol * total
 
-    def test_seven_node_l2l2_stops_at_857_steps(self, seven_node):
+    def test_seven_node_l2l2_stops_at_31_evaluations(self, seven_node):
         report = mirror_descent_minimize(seven_node, L2L2)
-        assert (report.stop_reason, report.iterations_used) == (STOP_GAP, 857)
-        assert report.objective.total == pytest.approx(0.45185287886, abs=1e-11)
+        assert (report.stop_reason, report.iterations_used) == (STOP_GAP, 31)
+        assert report.objective.total == pytest.approx(0.45185290076, abs=1e-11)
 
     def test_stopped_history_is_a_prefix_of_the_full_schedule(self, monkeypatch,
                                                                seven_node):
@@ -675,6 +787,14 @@ class TestSolverConfig:
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+
+    @pytest.mark.parametrize("knobs", [{"md_epochs": -3, "md_iters_per_epoch": -1},
+                                       {"md_epochs": 0}, {"md_iters_per_epoch": 0},
+                                       {"md_iters_per_epoch": -1}])
+    def test_descent_budget_below_one_rejected(self, knobs):
+        # a budget of no evaluation returned max_iter after 0 steps
+        with pytest.raises(ValueError, match="md_"):
+            SolverConfig(**knobs)
 
     def test_accepts_the_benchmark_keywords(self):
         config = SolverConfig(alpha=0.85, tol=1e-10, max_iter=500, md_epochs=3,
