@@ -145,6 +145,14 @@ def _uncertainty_spec(args, P: SparseStochasticMatrix) -> UncertaintySpec:
     return spec
 
 
+def _solver_config(args) -> SolverConfig:
+    """--alpha, --tol and --max-iter, checked whichever solver runs."""
+    try:
+        return SolverConfig(alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from exc
+
+
 def _run_solver(name: str, P: SparseStochasticMatrix, spec: UncertaintySpec, args) -> SolveReport:
     if name == "pagerank":
         return solvers.pagerank(P, args.alpha, args.tol, args.max_iter, spec)
@@ -155,8 +163,7 @@ def _run_solver(name: str, P: SparseStochasticMatrix, spec: UncertaintySpec, arg
     if name == "algorithm1":
         return solvers.regularized_power_method(P, spec, max_iter=args.max_iter)
     if name == "robust-exact":
-        config = SolverConfig(alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
-        return solvers.mirror_descent_minimize(P, spec, config)
+        return solvers.mirror_descent_minimize(P, spec, _solver_config(args))
     raise _ConfigError(f"unknown solver {name!r}")
 
 
@@ -293,6 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
+        _solver_config(args)
         if args.command == "rank":
             return cmd_rank(args, out)
         if args.command == "compare":

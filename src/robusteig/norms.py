@@ -13,25 +13,26 @@ characterizations drive both evaluation and subgradients:
 
 and any optimizing z is a subgradient.
 
-g1 finds its threshold by selection, as projections onto the l1 ball do
-(Duchi et al. 2008): the greedy fill of z reaches the budget 1 within the
-few largest |x_j|, so an O(n) partition takes the top k entries, only those
-are sorted, and k grows eightfold until that prefix certifies the full
-sort's answer bit for bit.  Weights that cannot fill 1 within n/8 entries
-(sum(c) <= 1, as with the default c_j = 1/n) go straight to the full scan.
-g2 sums the uncapped entries in ascending order of the breakpoints
-|x_j| / c_j, which a selection cannot reproduce bit for bit, so it sorts them
-all, once, with the default unstable sort: the stable one is redone only
-when a run of equal breakpoints mixes different (|x_j|, c_j).  It then
-scans only the tail of the sort whose c^2 mass from the end stays below 1,
-where alone rho can fall inside its interval.
+Both find what they need by selection, as projections onto the l1 ball do
+(Duchi et al. 2008), with one probe: an O(n) partition takes the top k
+entries (of |x| for g1, of the breakpoints |x_j| / c_j for g2), only those
+are sorted, and k grows eightfold, up to n/8, until they suffice; past n/8
+the full stable sort runs.  g1's greedy fill of z reaches the budget 1
+within the few largest |x_j|, and its prefix certifies the full sort's
+answer bit for bit; weights that cannot fill 1 within n/8 entries (sum(c)
+<= 1, as with the default c_j = 1/n) go straight to the full scan.  g2's
+rho can fall only in an interval whose boxed c^2 mass is below 1, so only
+the largest breakpoints up to c^2 mass 1, its candidates, are ever boxed:
+the top holds them once its mass reaches 1.  g2's arithmetic is defined by
+the candidates alone, so a loop over them reproduces it bit for bit,
+whichever probe found them.
 
 :class:`Objective` is the one place where phi and its subgradient are
 computed.  Built once per (P, spec), it caches the weights c; one evaluation
 costs one P.matvec (none when the caller hands in P x) and one penalty
-evaluation, plus one P.rmatvec when the subgradient is asked for.  phi,
-phi_value and subgradient_phi are thin calls into it, and the solvers hold
-one for the length of a solve.
+evaluation, plus one P.rmatvec and the penalty's dual vector when the
+subgradient is asked for.  phi, phi_value and subgradient_phi are thin calls
+into it, and the solvers hold one for the length of a solve.
 """
 
 from __future__ import annotations
@@ -126,11 +127,13 @@ def _check_weights(c: np.ndarray) -> np.ndarray:
     return c
 
 
-# g1 looks for its threshold among the top-k entries of |x| before it sorts
-# them all: the first k worth probing, and the factor by which k grows after
-# a probe that cannot certify its answer
-_G1_FIRST_PROBE = 32
-_G1_PROBE_GROWTH = 8
+# g1 and g2 look for what they need among the top k of |x| (g1) or of the
+# breakpoints (g2) before they sort everything: the first k worth probing,
+# and the factor by which k grows after a probe that falls short.  The full
+# sort takes over past n / _PROBE_GROWTH entries, where a probe no longer
+# saves much
+_FIRST_PROBE = 32
+_PROBE_GROWTH = 8
 
 
 def _g1_guard(c: np.ndarray) -> tuple[float, int]:
@@ -143,12 +146,12 @@ def _g1_guard(c: np.ndarray) -> tuple[float, int]:
     """
     total = float(c.sum())
     reach = 2 * math.ceil(1.0 / float(c.max())) if total > 1.0 else c.size
-    return total, max(_G1_FIRST_PROBE, reach)
+    return total, max(_FIRST_PROBE, reach)
 
 
-def _g1_scan(x: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
-    """g1 value and dual vector from the threshold scan over all of |x|."""
-    a = np.abs(x)
+def _g1_scan(x: np.ndarray, a: np.ndarray, c: np.ndarray,
+             dual: bool = True) -> tuple[float, np.ndarray | None]:
+    """g1 value and dual vector (None unless dual) from the scan over all of a = |x|."""
     order = np.argsort(-a, kind="stable")
     a_s, c_s = a[order], c[order]
     cum_c = np.cumsum(c_s)
@@ -158,6 +161,8 @@ def _g1_scan(x: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
     value = float(np.sum(c_s * a_s))           # t = 0
     if candidates.size:
         value = min(value, float(candidates.min()))
+    if not dual:
+        return value, None
     fill = np.clip(1.0 - prev_c, 0.0, c_s)
     z = np.empty_like(a)
     z[order] = fill
@@ -165,35 +170,77 @@ def _g1_scan(x: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
     return value, z
 
 
-def _top_k(x: np.ndarray, k: int) -> np.ndarray | None:
-    """Ascending indices j with |x_j| at least the k-th largest |x|, ties included.
+def _tops(a: np.ndarray, k: int):
+    """The ascending indices j with a_j at least the k-th largest of a >= 0,
+    ties included, for k, then k grown by _PROBE_GROWTH, up to and last at
+    n // _PROBE_GROWTH; nothing when k already passes that.
 
-    None when the top k hold NaN or inf, which only the scan orders.  Each
-    call holds one n-array, freed on return.
+    One O(n) selection takes the n // _PROBE_GROWTH largest values, among
+    which each probe finds its threshold; one O(n) comparison then finds the
+    indices.  Ends early when the largest values hold NaN or inf, which only
+    the full sort orders, and when ties take a top past n // _PROBE_GROWTH
+    entries.
     """
-    part = np.abs(x)
-    part.partition(x.size - k)                 # O(n) selection, in place
-    thr = part[x.size - k]
-    if not np.isfinite(part[x.size - k:]).all():
-        return None
-    return np.flatnonzero((x >= thr) | (x <= -thr))
+    n = a.size
+    cap = n // _PROBE_GROWTH
+    if k > cap:
+        return
+    part = a.copy()
+    part.partition(n - cap)                    # O(n) selection, in place
+    largest = part[n - cap:]
+    if not np.isfinite(largest).all():         # NaN and inf sort last
+        return
+    while True:
+        largest.partition(cap - k)
+        top = (a >= largest[cap - k]).nonzero()[0]
+        if top.size > cap:
+            return
+        yield top
+        if k == cap:
+            return
+        k = min(k * _PROBE_GROWTH, cap)
 
 
-def _g1_on_prefix(x: np.ndarray, c: np.ndarray, top: np.ndarray,
-                  total: float) -> tuple[float, np.ndarray] | None:
+def _stable_argsort(b: np.ndarray) -> np.ndarray:
+    """np.argsort(b, kind="stable") for b without NaN, at less cost past 1e3 entries.
+
+    The stable sort is a merge sort.  On a 2-core x86-64 host, below about
+    1e3 floats it is the cheaper (2.6 against 10 us at 32); above, it costs
+    two to four times the default sort (121 against 47 us at 2048, 1.0
+    against 0.45 ms on the 12 500 largest breakpoints of a web-large
+    iterate).  There the default sort orders b, but not equal entries by
+    index; where b repeats, a second sort does, on a key unique to each
+    entry: the rank of its run of equal values, then its index.  That key
+    is in order but inside runs, where the merge sort is fastest.
+    """
+    if b.size < 1024:
+        return np.argsort(b, kind="stable")
+    perm = np.argsort(b)
+    b_s = b[perm]
+    run = np.zeros(b.size, dtype=np.int64)
+    np.cumsum(b_s[1:] != b_s[:-1], out=run[1:])
+    if run[-1] == b.size - 1:                  # no two equal
+        return perm
+    run *= b.size
+    run += perm
+    return perm[np.argsort(run, kind="stable")]
+
+
+def _g1_on_prefix(x: np.ndarray, a: np.ndarray, c: np.ndarray, top: np.ndarray,
+                  total: float, dual: bool = True) -> tuple[float, np.ndarray | None] | None:
     """The scan's value and dual vector from the entries top alone, or None.
 
-    top holds every index whose |x_j| is at least some threshold, so its
-    stable descending order is the first top.size entries of the scan's, and
-    the same formulas give the same bits there.  Past the prefix the scan's
-    fill is 0 and its candidates h(|x_j|), with h(t) = t + sum_j c_j (|x_j| -
-    t)_+, do not fall below h at the last prefix entry, since h decreases
-    while more than weight 1 lies above t; t = 0 is one more such point.  The
-    answer is certified when the prefix weight passes 1, and that last
-    candidate passes the minimum, by more than the rounding of a running sum
-    over n entries (Higham 2002, ch. 4); otherwise None.
+    a is |x|, and top holds every index whose |x_j| is at least some
+    threshold, so its stable descending order is the first top.size entries
+    of the scan's, and the same formulas give the same bits there.  Past the
+    prefix the scan's fill is 0 and its candidates h(|x_j|), with h(t) = t +
+    sum_j c_j (|x_j| - t)_+, do not fall below h at the last prefix entry,
+    since h decreases while more than weight 1 lies above t; t = 0 is one
+    more such point.  The answer is certified when the prefix weight passes
+    1, and that last candidate passes the minimum, by more than the rounding
+    of a running sum over n entries (Higham 2002, ch. 4); otherwise None.
     """
-    a_top = np.abs(x[top])
+    a_top = a[top]
     perm = np.argsort(-a_top, kind="stable")
     order = top[perm]
     a_s, c_s = a_top[perm], c[order]
@@ -205,14 +252,16 @@ def _g1_on_prefix(x: np.ndarray, c: np.ndarray, top: np.ndarray,
     slack = 2.0 * (x.size + 8) * np.finfo(float).eps * (1.0 + total)
     if not (cum_c[-1] - 1.0 > slack and candidates[-1] - best > slack * a_s[0]):
         return None
+    if not dual:
+        return float(best), None
     z = np.sign(x)
     z *= 0.0                                   # the scan's 0 * sign(x_j) past the prefix
     z[order] = np.clip(1.0 - prev_c, 0.0, c_s) * np.sign(x[order])
     return float(best), z
 
 
-def _g1_with_dual(x: np.ndarray, c: np.ndarray,
-                  guard: tuple[float, int] | None = None) -> tuple[float, np.ndarray]:
+def _g1_with_dual(x: np.ndarray, c: np.ndarray, guard: tuple[float, int] | None = None,
+                  dual: bool = True) -> tuple[float, np.ndarray | None]:
     """g1 value via the threshold scan plus an optimizing dual vector.
 
     The primal minimum over decompositions reduces to
@@ -220,23 +269,20 @@ def _g1_with_dual(x: np.ndarray, c: np.ndarray,
     t in {0} U {|x_j|}; the dual vector is the greedy fractional-knapsack
     fill of max{z.x : ||z||_1 <= 1, |z_j| <= c_j}.  The fill reaches the
     budget 1 after a few of the largest |x_j|, so the scan runs first on the
-    top k of them (found by selection, ties included), with k growing by
-    _G1_PROBE_GROWTH while the prefix cannot certify the full scan's bits,
-    and over all of x once k passes n / _G1_PROBE_GROWTH.  guard is
-    _g1_guard(c), which callers holding c may cache.
+    top k of them (found by selection, ties included), for each k of _tops
+    while the prefix cannot certify the full scan's bits, and then over all
+    of x.  guard is _g1_guard(c), which callers holding c may cache.  With
+    dual False the dual vector is not built (None), and the value keeps its
+    bits.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
     total, k = guard if guard is not None else _g1_guard(c)
-    while k * _G1_PROBE_GROWTH <= n:
-        top = _top_k(x, k)
-        if top is None or top.size * _G1_PROBE_GROWTH > n:
-            break                              # NaN or inf, or ties over most of x
-        found = _g1_on_prefix(x, c, top, total)
+    a = np.abs(x)
+    for top in _tops(a, k):
+        found = _g1_on_prefix(x, a, c, top, total, dual)
         if found is not None:
             return found
-        k *= _G1_PROBE_GROWTH
-    return _g1_scan(x, c)
+    return _g1_scan(x, a, c, dual)
 
 
 # g2's rescaled scan moves max |x_j| just below 2^_G2_TOP: a sum of squares of
@@ -254,8 +300,22 @@ def _g2_mass(c: np.ndarray) -> float:
     return float(np.sum(c * c))
 
 
+def _g2_candidates(c: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shortest tail of order whose c^2 mass, summed from its end, reaches
+    1 (all of order when none does), and boxed[b - 1], the mass of its last b.
+
+    order holds indices in the stable ascending order of the breakpoints,
+    so its end is the largest.
+    """
+    c_o = c[order]
+    boxed = np.add.accumulate((c_o * c_o)[::-1])   # np.cumsum: a sequential sum
+    j = int(boxed.searchsorted(1.0))
+    return order[max(order.size - j - 1, 0):], boxed[:j + 1]
+
+
 def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
-                  rescaled: bool = False) -> tuple[float, np.ndarray]:
+                  rescaled: bool = False, dual: bool = True
+                  ) -> tuple[float, np.ndarray | None]:
     """g2 value and optimizing dual z of max{z.x : ||z||_2 <= 1, |z_j| <= c_j}.
 
     The optimal z clamps x/rho at the box, z_j = clamp(x_j / rho, +-c_j); rho
@@ -263,20 +323,23 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
     |x_j| / c_j, unless the box absorbs the whole ball (sum of c_j^2 over the
     support <= 1), in which case g2 = sum_j c_j |x_j|.
 
-    The answer is the same, bit for bit, as that of a stable sort and a scan
-    of every breakpoint, with less work:
-
-    - one default (unstable) sort.  The stable order matters only inside runs
-      of equal breakpoints, and there only when a run mixes different
-      (|x_j|, c_j); then the stable sort is redone.  NaN breakpoints, which
-      sort last, come only from |x_j| = c_j = inf, all alike;
-    - a scan of the tail only.  Slot k puts the k smallest breakpoints
-      uncapped and the rest at the box, and the answer is the largest k whose
-      rho falls inside its own interval.  Only slots whose boxed c^2 mass is
-      below 1 qualify, and that mass, a sequential sum of nonnegative terms
-      from the end, cannot fall, so they are the last few; each sum they read
-      comes from the same sequential cumsum as in the full scan;
-    - on full support, no gather of x and no scatter into z.
+    Slot b boxes the b largest breakpoints and leaves the rest uncapped, and
+    the answer is the slot with the fewest boxed entries whose rho falls
+    inside its own interval.  Only slots whose boxed c^2 mass is below 1 can
+    hold, so only the candidates are ever boxed or bound an interval: the
+    shortest tail of the breakpoints, in stable ascending order (ties by
+    index), whose c^2 mass from the largest down reaches 1.  They are found
+    by selection, as g1's prefix is: the top k breakpoints, for each k of
+    _tops until their mass reaches 1, and only those are sorted.  The full
+    stable sort of the support runs where _tops finds no such top: below
+    n = 8 * _FIRST_PROBE, with NaN or inf among the largest, with ties past
+    n / _PROBE_GROWTH entries, and when no tail of n / _PROBE_GROWTH
+    entries reaches 1 (all of the support are candidates when none of it
+    does).  The arithmetic depends on the candidates alone, not on how they
+    were found: the uncapped mass of a slot is one pairwise np.sum of a_j^2
+    over every entry outside the candidates, then the uncapped candidates'
+    squares added in ascending order.  (Total minus boxed squares would
+    lose the uncapped mass when the boxed entries hold nearly all of it.)
 
     mass is _g2_mass(c), which callers holding c may cache.  A mass above 1
     only by rounding can leave no slot consistent; g2 is then the box value.
@@ -286,72 +349,91 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
     changes no bit of the arithmetic but the underflow.  Entries whose
     squares still underflow, below about 2^-911 of the largest, are dropped:
     they add at most n 2^-911 max |x_j| to the value, and z_j = 0 there
-    keeps z dual feasible.
+    keeps z dual feasible.  With dual False, z is not built (None), and the
+    value keeps its bits.
     """
     x = np.asarray(x, dtype=float)
+    n = x.size
     a = np.abs(x)
-    if a.size and a.min() > 0.0:               # full support; NaN is not > 0
+    if n and a.min() > 0.0:                    # full support; NaN is not > 0
         support = None
-        x_s, a_s, c_s = x, a, c
         if mass is None:
             mass = _g2_mass(c)
     else:
         support = a > 0
         if not support.any():
-            return 0.0, np.zeros_like(a)
-        x_s, a_s, c_s = x[support], a[support], c[support]
-        mass = _g2_mass(c_s)
+            return 0.0, np.zeros_like(a) if dual else None
+        mass = _g2_mass(c[support])
     r = None
     if mass > 1.0:
-        bp = a_s / c_s
-        order = np.argsort(bp)
-        a_o, c_o, bp_o = a_s[order], c_s[order], bp[order]
-        if (((a_o[1:] != a_o[:-1]) | (c_o[1:] != c_o[:-1]))
-                & (bp_o[1:] == bp_o[:-1])).any():
-            order = np.argsort(bp, kind="stable")
-            a_o, c_o, bp_o = a_s[order], c_s[order], bp[order]
-        # slot k boxes the m - k largest breakpoints, and its interval runs
-        # from bp_o[k - 1] to bp_o[k] (inf at k = m).  Only slots k0..m can
-        # hold: the boxed mass of the others reaches 1, and slot 0 has no
-        # uncapped mass.  np.add.accumulate is np.cumsum, a sequential sum
-        m = bp_o.size
-        boxed = np.add.accumulate((c_o * c_o)[::-1])       # of the i + 1 largest
-        k0 = max(m - int(np.searchsorted(boxed, 1.0)), 1)
-        uncapped = np.add.accumulate(a_o * a_o)[k0 - 1:]
-        room = np.ones(uncapped.size)                       # 1 - boxed mass
-        np.subtract(1.0, boxed[:m - k0][::-1], out=room[:-1])
+        bp = a / c
+        for top in _tops(bp, _FIRST_PROBE):   # all in the support: bp is finite, above 0
+            cand, boxed = _g2_candidates(c, top[_stable_argsort(bp[top])])
+            if boxed[-1] >= 1.0:
+                break
+        else:
+            idx = np.flatnonzero(a > 0)
+            cand, boxed = _g2_candidates(c, idx[np.argsort(bp[idx], kind="stable")])
+        a_c, c_c, bp_c = a[cand], c[cand], bp[cand]
+        sq = np.multiply(a, a, out=bp)         # bp's buffer, and later z's
+        sq[cand] = 0.0
+        if support is not None:
+            sq[~support] = 0.0                 # x_j NaN; zeros are 0 already
+        # uncapped[i] puts candidates 0..i uncapped, the other m - 1 - i boxed
+        m = cand.size
+        uncapped = np.empty(m + 1)
+        uncapped[0] = np.add.reduce(sq)
+        np.multiply(a_c, a_c, out=uncapped[1:])
+        uncapped = np.add.accumulate(uncapped)[1:]
+        room = np.ones(m)                                    # 1 - boxed mass
+        np.subtract(1.0, boxed[:m - 1][::-1], out=room[:-1])
         rho = np.sqrt(uncapped / room)
-        hi = np.append(bp_o[k0:], np.inf)
-        consistent = ((uncapped != 0.0) & (bp_o[k0 - 1:] * (1.0 - 1e-12) <= rho)
+        hi = np.empty(m)                                     # each slot's upper bound
+        hi[:-1] = bp_c[1:]
+        hi[-1] = np.inf
+        consistent = ((uncapped != 0.0) & (bp_c * (1.0 - 1e-12) <= rho)
                       & (rho <= hi * (1.0 + 1e-12) + 1e-300))
-        hits = np.flatnonzero(consistent)
+        hits = consistent.nonzero()[0]
         if hits.size:
             i = hits[-1]
-            k = k0 + i
             r = float(rho[i])
-            capped = np.add.accumulate((c_o[k:] * a_o[k:])[::-1])[-1] if k < m else 0.0
+            boxed_ca = (c_c * a_c)[i + 1:][::-1]
+            capped = np.add.accumulate(boxed_ca)[-1] if boxed_ca.size else 0.0
             value = float(capped + uncapped[i] / r)
-        elif mass - 1.0 > 2.0 * (m + 8) * np.finfo(float).eps:
-            if rescaled or not np.isfinite(a.max()):
-                raise RuntimeError("g2 breakpoint scan found no consistent interval")
-            shift = _G2_TOP - math.frexp(float(a.max()))[1]
-            x = np.ldexp(x, shift)                 # exact; max |x_j| now below 2^_G2_TOP
-            x[np.abs(x) < 2.0 ** -511] = 0.0       # squares below the normal range
-            value, z = _g2_with_dual(x, c, rescaled=True)
-            return math.ldexp(value, -shift), z
-    if r is None:
+        else:
+            support_size = n if support is None else int(np.count_nonzero(support))
+            if mass - 1.0 > 2.0 * (support_size + 8) * np.finfo(float).eps:
+                if rescaled or not np.isfinite(a.max()):
+                    raise RuntimeError("g2 breakpoint scan found no consistent interval")
+                shift = _G2_TOP - math.frexp(float(a.max()))[1]
+                x = np.ldexp(x, shift)             # exact; max |x_j| now below 2^_G2_TOP
+                x[np.abs(x) < 2.0 ** -511] = 0.0   # squares below the normal range
+                value, z = _g2_with_dual(x, c, rescaled=True, dual=dual)
+                return math.ldexp(value, -shift), z
+    if r is None:                              # the box value
+        if support is None:
+            x_s, a_s, c_s = x, a, c
+        else:
+            x_s, a_s, c_s = x[support], a[support], c[support]
         value = float(np.sum(c_s * a_s))
+        if not dual:
+            return value, None
         z_s = np.copysign(c_s, x_s)
-    else:
-        z_s = np.minimum(a_s / r, c_s)
-        if math.isfinite(r):
-            np.copysign(z_s, x_s, out=z_s)
-        else:                                  # inf / inf is NaN, whose bits copysign would change
-            z_s *= np.sign(x_s)
-    if support is None:
-        return value, z_s
-    z = np.zeros_like(a)
-    z[support] = z_s
+        if support is None:
+            return value, z_s
+        z = np.zeros_like(a)
+        z[support] = z_s
+        return value, z
+    if not dual:
+        return value, None
+    z = np.divide(a, r, out=sq)
+    np.minimum(z, c, out=z)
+    if math.isfinite(r):
+        np.copysign(z, x, out=z)
+    else:                                      # inf / inf is NaN, whose bits copysign would change
+        z *= np.sign(x)
+    if support is not None:
+        z[~support] = 0.0
     return value, z
 
 
@@ -359,23 +441,24 @@ def g1(x: np.ndarray, c: np.ndarray) -> float:
     """min over x = u + v of ||u||_inf + sum_j c_j |v_j|.
 
     O(n) selection plus a sort of the k largest |x_j|, where k is 32, or
-    2/max(c) when that is more, grown eightfold while the fill of weight 1
-    is not certified inside them; the O(n log n) full scan when k would pass
-    n/8, as it does when sum(c) <= 1 (the default c_j = 1/n).
+    2/max(c) when that is more, grown eightfold (the last probe at n/8)
+    while the fill of weight 1 is not certified inside them; the O(n log n)
+    full scan when k would pass n/8, as it does when sum(c) <= 1 (the
+    default c_j = 1/n).
     """
-    return _g1_with_dual(x, _check_weights(c))[0]
+    return _g1_with_dual(x, _check_weights(c), dual=False)[0]
 
 
 def g2(x: np.ndarray, c: np.ndarray) -> float:
     """min over x = u + v of ||u||_2 + sum_j c_j |v_j|.
 
-    One O(n log n) default sort of the breakpoints |x_j| / c_j (a stable one
-    again only when equal breakpoints mix different (|x_j|, c_j)), O(n)
-    prefix sums, and a scan of only the L + 1 largest breakpoints, where L
-    is the count whose c^2 mass from the end stays below 1; no sort at all
-    when sum_j c_j^2 <= 1.
+    O(n) selection of the k largest breakpoints |x_j| / c_j, with k from 32
+    grown eightfold (the last probe at n/8) until their c^2 mass reaches 1,
+    a stable sort of those k alone, and O(n) sums; the O(n log n) stable
+    sort of every breakpoint when the mass is not reached within n/8 of
+    them.  No sort at all when sum_j c_j^2 <= 1 over the support.
     """
-    return _g2_with_dual(x, _check_weights(c))[0]
+    return _g2_with_dual(x, _check_weights(c), dual=False)[0]
 
 
 def g_oracle(x: np.ndarray, c: np.ndarray, kind: str) -> float:
@@ -446,16 +529,19 @@ class Objective:
         self._g1_guard = _g1_guard(self._weights) if spec.pair is NormPair.L1_G1 else None
         self._g2_mass = _g2_mass(self._weights) if spec.pair is NormPair.L2_G2 else None
 
-    def _penalty_with_dual(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Penalty-norm value and a subgradient of it at x."""
+    def _penalty_with_dual(self, x: np.ndarray,
+                           dual: bool) -> tuple[float, np.ndarray | None]:
+        """Penalty-norm value, and a subgradient of it at x when dual (else None)."""
         if self._weights is None:
             nx = float(np.linalg.norm(x))
+            if not dual:
+                return nx, None
             if nx == 0.0:
                 return 0.0, np.zeros_like(x)
             return nx, x / nx
         if self.spec.pair is NormPair.L1_G1:
-            return _g1_with_dual(x, self._weights, self._g1_guard)
-        return _g2_with_dual(x, self._weights, self._g2_mass)
+            return _g1_with_dual(x, self._weights, self._g1_guard, dual=dual)
+        return _g2_with_dual(x, self._weights, self._g2_mass, dual=dual)
 
     def evaluate(self, x: np.ndarray, with_subgradient: bool = False, *,
                  Px: np.ndarray | None = None
@@ -478,7 +564,7 @@ class Objective:
             residual_term = float(np.abs(r).sum())
         else:
             residual_term = float(np.linalg.norm(r))
-        penalty_value, g_pen = self._penalty_with_dual(x)
+        penalty_value, g_pen = self._penalty_with_dual(x, with_subgradient)
         penalty_term = eps * penalty_value
         value = ObjectiveValue(residual_term, penalty_term, residual_term + penalty_term)
         if not with_subgradient:

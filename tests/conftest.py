@@ -54,10 +54,62 @@ def web_graph(n, seed):
 
 
 def _g2_scan_loop(x, c):
-    """g2 value and dual z: a stable sort, then every slot from k = m down to 0.
+    """g2 value and dual z: the candidates found by a loop from the largest
+    breakpoint, then every slot from the fewest boxed entries up.
 
-    The reference that norms._g2_with_dual, with its one default sort and its
-    scan of the tail alone, must match bit for bit.
+    The candidates are the shortest tail, in the stable order of the
+    support's breakpoints, whose c^2 mass from the largest down reaches 1
+    (all of the support when none does).  A slot's uncapped mass is np.sum
+    of a^2 over every entry outside them, then their squares one by one in
+    ascending order.  The reference that norms._g2_with_dual, which finds
+    the candidates by selection, must match bit for bit.
+    """
+    a = np.abs(x)
+    z = np.zeros_like(a)
+    support = a > 0
+    if not support.any():
+        return 0.0, z
+    if float(np.sum(c[support] ** 2)) <= 1.0:
+        z[support] = np.sign(x[support]) * c[support]
+        return float(np.sum(c[support] * a[support])), z
+    bp = a / c
+    idx = np.flatnonzero(support)
+    order = idx[np.argsort(bp[idx], kind="stable")]
+    boxed = [0.0]                              # boxed[b]: c^2 mass of the b largest
+    for j in order[::-1]:
+        boxed.append(boxed[-1] + c[j] * c[j])
+        if boxed[-1] >= 1.0:
+            break
+    cand = order[order.size - (len(boxed) - 1):]
+    sq = a * a
+    sq[~support] = 0.0
+    sq[cand] = 0.0
+    uncapped = [np.sum(sq)]                    # uncapped[i + 1]: candidates 0..i uncapped
+    for j in cand:
+        uncapped.append(uncapped[-1] + a[j] * a[j])
+    m = cand.size
+    for b in range(m):                         # b largest candidates boxed
+        i = m - 1 - b
+        if uncapped[i + 1] == 0.0:
+            continue
+        rho = math.sqrt(uncapped[i + 1] / (1.0 - boxed[b]))
+        lo = bp[cand[i]]
+        hi = bp[cand[i + 1]] if i + 1 < m else np.inf
+        if lo * (1.0 - 1e-12) <= rho <= hi * (1.0 + 1e-12) + 1e-300:
+            capped = 0.0
+            for j in cand[::-1][:b]:
+                capped += c[j] * a[j]
+            z[support] = np.minimum(a[support] / rho, c[support]) * np.sign(x[support])
+            return float(capped + uncapped[i + 1] / rho), z
+    raise RuntimeError("no consistent interval")
+
+
+def _g2_prefix_scan_loop(x, c):
+    """g2 value and dual z: a stable sort of every breakpoint, prefix sums
+    over all of them, then every slot from k = m down to 0.
+
+    The arithmetic of g2 before it found its candidates by selection: a
+    second reference, which _g2_scan_loop matches to within rounding.
     """
     a = np.abs(x)
     z = np.zeros_like(a)

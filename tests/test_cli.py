@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from robusteig.cli import main
+from robusteig.cli import RANK_SOLVERS, main
 
 from conftest import SEVEN_NODE_EDGES, _stress_realized_dense
 
@@ -299,6 +299,19 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "rank", "--input", seven_node_file,
                           "--epsilon", "-1")
         assert code == 1
+
+    @pytest.mark.parametrize("solver", RANK_SOLVERS)
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "1.5", "alpha must be in (0, 1), got 1.5"),
+        ("--tol", "0", "tol must be > 0, got 0.0"),
+        ("--max-iter", "0", "max_iter must be >= 1, got 0"),
+    ])
+    def test_bad_solver_setting_is_a_config_error(self, capsys, seven_node_file, solver,
+                                                  flag, value, message):
+        # checked for every solver, also those that do not read the flag
+        code = main(["rank", "--input", seven_node_file, "--solver", solver, flag, value])
+        assert code == 1
+        assert capsys.readouterr().err == f"robusteig: error: {message}\n"
 
     def test_unknown_flag_exits_one(self, capsys, seven_node_file):
         with pytest.raises(SystemExit) as exc:

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from robusteig import (NormPair, SparseStochasticMatrix, UncertaintySpec, g1,
                        g2, g_oracle, phi, phi_value, subgradient_phi,
                        uniform_vector)
-from robusteig.norms import _g1_with_dual, _g2_with_dual
+from robusteig.graph_matrix import out_degrees
+from robusteig.norms import Objective, _g1_with_dual, _g2_with_dual, _stable_argsort
 
-from conftest import SEVEN_NODE_XBAR, _g2_scan_loop, random_stochastic_dense
+from conftest import (SEVEN_NODE_XBAR, _g2_prefix_scan_loop, _g2_scan_loop,
+                      random_stochastic_dense, web_graph)
 
 
 def _random_case(rng, n_max=8):
@@ -26,14 +28,14 @@ def _tied_case(rng, n_max=8):
     return x, c
 
 
-def _g2_loop_or_box(x, c):
-    """_g2_scan_loop, and the box value where it finds no consistent interval.
+def _g2_loop_or_box(x, c, loop=_g2_scan_loop):
+    """loop, and the box value where it finds no consistent interval.
 
     The loop fails so only where the weights fill the ball up to rounding,
     and g2 then is sum_j c_j |x_j|, with z = c sign(x) on the support.
     """
     try:
-        return _g2_scan_loop(x, c)
+        return loop(x, c)
     except RuntimeError:
         support = np.abs(x) > 0
         assert abs(float(np.sum(c[support] ** 2)) - 1.0) <= 1e-12
@@ -94,6 +96,60 @@ def _g1_c_families(rng, n):
     yield "fixed 0.05", np.full(n, 0.05)
     yield "fixed 0.3", np.full(n, 0.3)
     yield "1/n with 1% at 1", np.where(rng.random(n) < 0.01, 1.0, 1.0 / n)
+
+
+def _g2_cases(rng):
+    """(x, c) pairs for the g2 equivalence sweeps."""
+    cases = [case(rng) for case in (_random_case, _tied_case) for _ in range(500)]
+    for n in (1, 2, 7, 400, 2000, 3000):
+        for _, x in _g1_x_families(rng, n):
+            cases += [(x, c) for _, c in _g1_c_families(rng, n)]
+    for n in (3, 7, 40, 400, 2000):
+        # x_j = t c_j: breakpoints t tie across different c_j, so only the
+        # stable sort gives the loop's order; with t a power of 2 and c_j
+        # drawn, the sums over a run round differently in another order
+        c = rng.choice([0.25, 0.5, 1.0], n)
+        t = rng.integers(1, 4, n).astype(float)
+        cases += [(t * c, c), (-t * c, c), (t * c * rng.choice([-1.0, 0.0, 1.0], n), c)]
+        c = rng.uniform(0.02, 1.0, n)
+        t = 2.0 ** rng.integers(-2, 2, n)
+        cases += [(t * c, c), (t * c * rng.choice([-1.0, 1.0], n), c)]
+        x = rng.standard_normal(n)
+        for bad in ([np.nan], [np.inf], [-np.inf], [np.nan, np.inf], [np.inf, np.inf]):
+            y = x.copy()
+            y[rng.choice(n, len(bad), replace=False)] = bad
+            cases += [(y, c), (y, np.full(n, 0.3)), (y, np.full(n, 1.0 / n))]
+        # zeros: c^2 mass above 1 over all of x, at most 1 over its support
+        y = np.zeros(n)
+        y[rng.choice(n, min(n, 3), replace=False)] = rng.standard_normal(min(n, 3))
+        cases.append((y, np.full(n, 0.5)))
+    for n in (400, 2000, 4000):
+        # runs of equal breakpoints t across the 32nd largest and across the
+        # candidates' edge, with different c_j inside each run
+        for weights in ([0.05, 0.1, 0.2], [0.1, 0.2, 0.3]):
+            for _ in range(10):
+                t = rng.choice([0.5, 1.0], n)
+                top = rng.choice(n, 90, replace=False)
+                t[top[:20]] = 5.0
+                t[top[20:50]] = 4.0
+                t[top[50:]] = 3.0
+                c = rng.choice(weights, n)
+                x = t * c * rng.choice([-1.0, 1.0], n)
+                cases += [(x, c), (x * 2.0 ** -30, c)]
+    n_cases = len(cases)
+    # the 32 largest breakpoints' c^2 sum to 1 pairwise but to just below 1
+    # from the largest down, the sum that picks the candidates: the first
+    # probe's top does not hold them
+    while len(cases) < n_cases + 10:
+        c_top = rng.uniform(0.05, 0.3, 32)
+        c_top /= np.sqrt(np.add.reduce(c_top * c_top))
+        rank = rng.permutation(32)             # indices in ascending breakpoint order
+        if np.add.reduce(c_top * c_top) >= 1.0 > np.add.accumulate((c_top ** 2)[rank][::-1])[-1]:
+            c = np.concatenate([c_top, rng.uniform(0.05, 0.3, 368)])
+            bp = np.concatenate([np.zeros(32), rng.uniform(0.1, 1.0, 368)])
+            bp[rank] = 1.0 + np.arange(1, 33) / 32
+            cases.append((bp * c, c))
+    return cases
 
 
 class TestG1:
@@ -172,29 +228,53 @@ class TestOracles:
                 assert abs(g2(x, c) - g_oracle(x, c, "g2")) <= 1e-8
 
     def test_g2_scan_matches_the_loop_bit_for_bit(self):
-        rng = np.random.default_rng(12)
-        cases = [case(rng) for case in (_random_case, _tied_case) for _ in range(500)]
-        for n in (1, 2, 7, 400, 2000, 3000):
-            for _, x in _g1_x_families(rng, n):
-                cases += [(x, c) for _, c in _g1_c_families(rng, n)]
-        for n in (3, 7, 40, 400, 2000):
-            # x_j = t c_j: breakpoints t tie across different c_j, so only the
-            # stable sort gives the loop's order; with t a power of 2 and c_j
-            # drawn, the sums over a run round differently in another order
-            c = rng.choice([0.25, 0.5, 1.0], n)
-            t = rng.integers(1, 4, n).astype(float)
-            cases += [(t * c, c), (-t * c, c), (t * c * rng.choice([-1.0, 0.0, 1.0], n), c)]
-            c = rng.uniform(0.02, 1.0, n)
-            t = 2.0 ** rng.integers(-2, 2, n)
-            cases += [(t * c, c), (t * c * rng.choice([-1.0, 1.0], n), c)]
-            x = rng.standard_normal(n)
-            for bad in ([np.nan], [np.inf], [-np.inf], [np.nan, np.inf], [np.inf, np.inf]):
-                y = x.copy()
-                y[rng.choice(n, len(bad), replace=False)] = bad
-                cases += [(y, c), (y, np.full(n, 0.3)), (y, np.full(n, 1.0 / n))]
         with np.errstate(invalid="ignore"):    # inf / inf where x holds inf
-            for x, c in cases:
+            for x, c in _g2_cases(np.random.default_rng(12)):
                 assert _g2_outcome(_g2_with_dual, x, c) == _g2_outcome(_g2_loop_or_box, x, c)
+
+    def test_g2_scan_matches_the_prefix_scan_within_rounding(self):
+        # the candidates' arithmetic against the sums over every breakpoint
+        # that g2 used before: the same slot, to within a sum's rounding
+        with np.errstate(invalid="ignore"):
+            for x, c in _g2_cases(np.random.default_rng(12)):
+                try:
+                    value, z = _g2_loop_or_box(x, c)
+                except RuntimeError:
+                    with pytest.raises(RuntimeError):
+                        _g2_loop_or_box(x, c, _g2_prefix_scan_loop)
+                    continue
+                want_value, want_z = _g2_loop_or_box(x, c, _g2_prefix_scan_loop)
+                rtol = 4 * x.size * np.finfo(float).eps
+                np.testing.assert_allclose(value, want_value, rtol=rtol, atol=0.0)
+                np.testing.assert_allclose(z, want_z, rtol=rtol, atol=0.0)
+
+    def test_g2_keeps_the_uncapped_mass_under_a_concentrated_top(self):
+        # three entries hold all but about 2e-23 of sum a^2: total minus the boxed
+        # squares gives 0 for the uncapped mass, and no slot would hold
+        rng = np.random.default_rng(23)
+        n = 50
+        c = np.full(n, 0.5)
+        x = np.concatenate([[1.0, 1.0, 1.0], rng.random(n - 3) * 1e-12])
+        value, z = _g2_with_dual(x, c)
+        want_value, want_z = _g2_scan_loop(x, c)
+        assert value == want_value and z.tobytes() == want_z.tobytes()
+        assert np.sum(x ** 2) - 3.0 == 0.0
+        assert (z[3:] > 0).all() and (z[:3] == 0.5).all()
+        assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-12)
+        # three boxed at 0.5, the rest uncapped with room 1 - 3/4
+        assert value - 1.5 == pytest.approx(0.5 * np.linalg.norm(x[3:]), rel=1e-3)
+
+    def test_g2_box_value_on_a_support_of_small_mass(self):
+        # c^2 mass 2.5 over all of x, but 0.75 over its support: the box value
+        # sum_j c_j |x_j|, also when a caller hands in the mass of all of c
+        c = np.full(10, 0.5)
+        x = np.array([0.0, 0.2, 0.0, -0.3, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
+        for mass in (None, 2.5):
+            value, z = _g2_with_dual(x, c, mass)
+            assert value == float(np.sum(c[[1, 3, 6]] * np.abs(x[[1, 3, 6]])))
+            assert z.tolist() == [0.0, 0.5, 0.0, -0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0]
+            assert _g2_with_dual(x, c, mass, dual=False) == (value, None)
+        assert value == g2(x, c) == pytest.approx(0.5, rel=1e-15)
 
     @pytest.mark.parametrize("n, weight", [(400, 0.05), (1600, 0.025), (100, 0.1)])
     def test_g2_weights_that_fill_the_ball_up_to_rounding(self, n, weight):
@@ -269,28 +349,48 @@ class TestOracles:
         assert sizes and max(sizes) <= 1024
         assert value == _g1_scan(x, c)[0]
 
-    def test_g2_sorts_once_without_stable_ties(self, monkeypatch):
-        # a heavy-tailed iterate over inv-degree weights: no breakpoints tie,
-        # so one default sort is certified and the stable sort never runs
+    @pytest.mark.parametrize("shape", ["heavy-tailed", "web-like"])
+    def test_g2_sorts_only_the_top_of_the_breakpoints(self, monkeypatch, shape):
+        # heavy-tailed: inv-degree weights fill the ball within a few of the
+        # largest breakpoints.  web-like: the 5000 largest breakpoints are
+        # dangling entries with c_j = 1/n, whose c^2 mass is 5e-7, so the
+        # candidates run past them, and only the last probe, at n/8, finds them
         rng = np.random.default_rng(16)
-        n = 200_000
+        n = 200_000 if shape == "heavy-tailed" else 100_000
         u = rng.random(n) ** 8
-        x = u / u.sum()
         c = 1.0 / np.maximum(1, rng.poisson(4, n))
-        kinds = []
+        if shape == "web-like":
+            u = 1.0 + rng.random(n)
+            dangling = rng.choice(n, 5000, replace=False)
+            c[dangling] = 1.0 / n
+            u[dangling] = 1.0 + rng.integers(0, 64, 5000) / 64   # runs of equal breakpoints
+        x = u / u.sum()
+        sizes = []
         argsort = np.argsort
 
         def counted(a, *args, **kwargs):
-            kinds.append(kwargs.get("kind"))
+            sizes.append(np.size(a))
             return argsort(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "argsort", counted)
         value, z = _g2_with_dual(x, c)
         monkeypatch.undo()
-        assert kinds == [None]
+        assert sizes and max(sizes) <= n // 8
+        if shape == "web-like":
+            assert max(sizes) > 5000
+            bp = x / c
+            assert set(np.argsort(bp)[-5000:]) == set(dangling)
         want_value, want_z = _g2_scan_loop(x, c)
         assert value == want_value
         assert z.tobytes() == want_z.tobytes()
+
+    def test_stable_argsort_is_the_merge_sort(self):
+        # the two default sorts past 1e3 entries, with and without runs of
+        # equal values, against np.argsort(kind="stable")
+        rng = np.random.default_rng(25)
+        for n in (1, 5, 1023, 1024, 5000):
+            for b in (rng.random(n), rng.integers(0, 8, n) / 8.0, np.full(n, 0.5)):
+                assert np.array_equal(_stable_argsort(b), np.argsort(b, kind="stable"))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -399,6 +499,23 @@ class TestPhi:
         spec = UncertaintySpec(1.0, NormPair.L2_L2)
         with pytest.raises(ValueError):
             phi(seven_node, np.full(7, 0.5), spec)
+
+
+class TestObjective:
+    @pytest.mark.parametrize("pair", list(NormPair))
+    def test_value_alone_keeps_the_bits(self, pair):
+        # without the subgradient the penalty's dual vector is not built; the
+        # value must not move by a bit, on the probe and full-sort paths alike
+        P = web_graph(3000, 24)
+        rng = np.random.default_rng(24)
+        for budgets in (None, 1.0 / out_degrees(P).astype(float), 0.3):
+            objective = Objective(P, UncertaintySpec(1.0, pair, budgets))
+            u = rng.random(P.n) ** 8
+            spiky = np.where(rng.random(P.n) < 0.2, 0.0, u)
+            for x in (uniform_vector(P.n), u / u.sum(), spiky / spiky.sum()):
+                value, none = objective.evaluate(x)
+                assert none is None
+                assert value == objective.evaluate(x, True)[0]
 
 
 class TestSubgradientPhi:

@@ -470,7 +470,8 @@ class TestMirrorDescent:
         config = SolverConfig(md_epochs=2)
         monkeypatch.setattr(solvers, "_GAP_TOL", 0.0)         # the whole budget
         report = mirror_descent_minimize(P, spec, config)
-        monkeypatch.setattr(norms, "_g2_with_dual", lambda x, c, mass=None: _g2_scan_loop(x, c))
+        monkeypatch.setattr(norms, "_g2_with_dual",
+                            lambda x, c, mass=None, dual=True: _g2_scan_loop(x, c))
         want = mirror_descent_minimize(P, spec, config)
         assert report.iterations_used == want.iterations_used == 400
         assert report.final.tobytes() == want.final.tobytes()
