@@ -13,26 +13,28 @@ characterizations drive both evaluation and subgradients:
 
 and any optimizing z is a subgradient.
 
-Both find what they need by selection, as projections onto the l1 ball do
-(Duchi et al. 2008), with one probe: an O(n) partition takes the top k
-entries (of |x| for g1, of the breakpoints |x_j| / c_j for g2), only those
-are sorted, and k grows eightfold, up to n/8, until they suffice; past n/8
-the full stable sort runs.  g1's greedy fill of z reaches the budget 1
-within the few largest |x_j|, and its prefix certifies the full sort's
-answer bit for bit; weights that cannot fill 1 within n/8 entries (sum(c)
-<= 1, as with the default c_j = 1/n) go straight to the full scan.  g2's
-rho can fall only in an interval whose boxed c^2 mass is below 1, so only
-the largest breakpoints up to c^2 mass 1, its candidates, are ever boxed:
-the top holds them once its mass reaches 1.  g2's arithmetic is defined by
-the candidates alone, so a loop over them reproduces it bit for bit,
-whichever probe found them.
+Both take one path, with p = 1 for g1 and p = 2 for g2.  When the c^p mass
+over the support of x is at most 1, the box z = c sign(x) is feasible and
+g_p is the box value sum_j c_j |x_j|, with no sort at all, as under g1 with
+the default c_j = 1/n where their float sum is at most 1.  Otherwise only
+the largest entries of a key decide the value: its candidates, the shortest
+top of the key whose c^p mass reaches 1.  The key is |x_j| for g1 and the
+breakpoint |x_j| / c_j for g2.  The candidates are found by selection, as
+projections onto the l1 ball are (Duchi et al. 2008): an O(n) partition
+takes the top k entries, only those are sorted, and k grows eightfold, up
+to n/8, until their mass reaches 1; past n/8 the full stable sort runs.  g1
+is then the greedy fill of z over its candidates, and g2 the first
+consistent slot among its.  Each arithmetic is defined by the candidates
+alone, so a loop over them reproduces it bit for bit, whichever probe found
+them.
 
 :class:`Objective` is the one place where phi and its subgradient are
-computed.  Built once per (P, spec), it caches the weights c; one evaluation
-costs one P.matvec (none when the caller hands in P x) and one penalty
-evaluation, plus one P.rmatvec and the penalty's dual vector when the
-subgradient is asked for.  phi, phi_value and subgradient_phi are thin calls
-into it, and the solvers hold one for the length of a solve.
+computed.  Built once per (P, spec), it caches the weights c and their mass
+spec.penalty_mass(n); one evaluation costs one P.matvec (none when the
+caller hands in P x) and one penalty evaluation, plus one P.rmatvec and the
+penalty's dual vector when the subgradient is asked for.  phi, phi_value and
+subgradient_phi are thin calls into it, and the solvers hold one for the
+length of a solve.
 """
 
 from __future__ import annotations
@@ -104,13 +106,12 @@ class UncertaintySpec:
         """sum_j c_j for l1g1, sum_j c_j^2 for l2g2, None for l2l2.
 
         At most 1, the g1 or g2 penalty is sum_j c_j |x_j|: linear on the
-        simplex, and a constant under the default eps/n budgets.  The l2g2
-        mass is the sum that g2 itself compares with 1.
+        simplex, and a constant under the default eps/n budgets.  It is the
+        sum that g1 or g2 itself compares with 1.
         """
         if self.pair is NormPair.L2_L2:
             return None
-        c = self.weights(n)
-        return float(c.sum()) if self.pair is NormPair.L1_G1 else _g2_mass(c)
+        return _mass(self.weights(n), 1 if self.pair is NormPair.L1_G1 else 2)
 
 
 @dataclass(frozen=True)
@@ -127,47 +128,25 @@ def _check_weights(c: np.ndarray) -> np.ndarray:
     return c
 
 
-# g1 and g2 look for what they need among the top k of |x| (g1) or of the
-# breakpoints (g2) before they sort everything: the first k worth probing,
-# and the factor by which k grows after a probe that falls short.  The full
-# sort takes over past n / _PROBE_GROWTH entries, where a probe no longer
-# saves much
+def _check_penalty_args(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x as a finite 1-d float array, and weights c > 0 of its shape."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"x must be 1-d, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
+    c = _check_weights(c)
+    if c.shape != x.shape:
+        raise ValueError(f"weights have shape {c.shape}, expected {x.shape}")
+    return x, c
+
+
+# g1 and g2 look for their candidates among the top k of a key before they
+# sort everything: the first k worth probing, and the factor by which k grows
+# after a probe that falls short.  The full sort takes over past
+# n / _PROBE_GROWTH entries, where a probe no longer saves much
 _FIRST_PROBE = 32
 _PROBE_GROWTH = 8
-
-
-def _g1_guard(c: np.ndarray) -> tuple[float, int]:
-    """Sum of the weights c, and the size of the first top-k probe of g1.
-
-    k entries carry weight at most k max(c), and all n carry sum(c), so no
-    prefix shorter than 1 / max(c) fills the budget 1, and none does when
-    sum(c) <= 1; the probe then has size n, which is the full scan.  The
-    first probe is twice that shortest prefix, for room past the fill.
-    """
-    total = float(c.sum())
-    reach = 2 * math.ceil(1.0 / float(c.max())) if total > 1.0 else c.size
-    return total, max(_FIRST_PROBE, reach)
-
-
-def _g1_scan(x: np.ndarray, a: np.ndarray, c: np.ndarray,
-             dual: bool = True) -> tuple[float, np.ndarray | None]:
-    """g1 value and dual vector (None unless dual) from the scan over all of a = |x|."""
-    order = np.argsort(-a, kind="stable")
-    a_s, c_s = a[order], c[order]
-    cum_c = np.cumsum(c_s)
-    prev_c = cum_c - c_s                       # sum of c over strictly larger |x|
-    prev_ca = np.cumsum(c_s * a_s) - c_s * a_s
-    candidates = a_s * (1.0 - prev_c) + prev_ca
-    value = float(np.sum(c_s * a_s))           # t = 0
-    if candidates.size:
-        value = min(value, float(candidates.min()))
-    if not dual:
-        return value, None
-    fill = np.clip(1.0 - prev_c, 0.0, c_s)
-    z = np.empty_like(a)
-    z[order] = fill
-    z *= np.sign(x)
-    return value, z
 
 
 def _tops(a: np.ndarray, k: int):
@@ -226,91 +205,115 @@ def _stable_argsort(b: np.ndarray) -> np.ndarray:
     return perm[np.argsort(run, kind="stable")]
 
 
-def _g1_on_prefix(x: np.ndarray, a: np.ndarray, c: np.ndarray, top: np.ndarray,
-                  total: float, dual: bool = True) -> tuple[float, np.ndarray | None] | None:
-    """The scan's value and dual vector from the entries top alone, or None.
+def _mass(c: np.ndarray, p: int) -> float:
+    """sum_j c_j^p, the mass that g_p compares with 1 over the support of x."""
+    return float(np.sum(c if p == 1 else c * c))
 
-    a is |x|, and top holds every index whose |x_j| is at least some
-    threshold, so its stable descending order is the first top.size entries
-    of the scan's, and the same formulas give the same bits there.  Past the
-    prefix the scan's fill is 0 and its candidates h(|x_j|), with h(t) = t +
-    sum_j c_j (|x_j| - t)_+, do not fall below h at the last prefix entry,
-    since h decreases while more than weight 1 lies above t; t = 0 is one
-    more such point.  The answer is certified when the prefix weight passes
-    1, and that last candidate passes the minimum, by more than the rounding
-    of a running sum over n entries (Higham 2002, ch. 4); otherwise None.
+
+def _support_mass(a: np.ndarray, c: np.ndarray, p: int,
+                  mass: float | None) -> tuple[np.ndarray | None, float]:
+    """The support of a = |x|, None for all of it, else the mask a > 0, and
+    the c^p mass over it.
+
+    mass is _mass(c, p), which callers holding c may cache: the support is
+    all of x at every iterate of mirror descent.
     """
-    a_top = a[top]
-    perm = np.argsort(-a_top, kind="stable")
-    order = top[perm]
-    a_s, c_s = a_top[perm], c[order]
-    cum_c = np.cumsum(c_s)
-    prev_c = cum_c - c_s
-    prev_ca = np.cumsum(c_s * a_s) - c_s * a_s
-    candidates = a_s * (1.0 - prev_c) + prev_ca
-    best = candidates.min()
-    slack = 2.0 * (x.size + 8) * np.finfo(float).eps * (1.0 + total)
-    if not (cum_c[-1] - 1.0 > slack and candidates[-1] - best > slack * a_s[0]):
-        return None
+    if a.size and a.min() > 0.0:               # NaN is not > 0
+        return None, _mass(c, p) if mass is None else mass
+    support = a > 0
+    return support, _mass(c[support], p)
+
+
+def _box(x: np.ndarray, a: np.ndarray, c: np.ndarray, support: np.ndarray | None,
+         dual: bool) -> tuple[float, np.ndarray | None]:
+    """The box value sum_j c_j |x_j| over the support, and z = c sign(x)
+    there, 0 elsewhere (None unless dual): g_p when the box z = c sign(x)
+    fits in the unit p-ball."""
+    if support is None:
+        x_s, a_s, c_s = x, a, c
+    else:
+        x_s, a_s, c_s = x[support], a[support], c[support]
+    value = float(np.sum(c_s * a_s))
     if not dual:
-        return float(best), None
-    z = np.sign(x)
-    z *= 0.0                                   # the scan's 0 * sign(x_j) past the prefix
-    z[order] = np.clip(1.0 - prev_c, 0.0, c_s) * np.sign(x[order])
-    return float(best), z
+        return value, None
+    z_s = np.copysign(c_s, x_s)
+    if support is None:
+        return value, z_s
+    z = np.zeros_like(a)
+    z[support] = z_s
+    return value, z
 
 
-def _g1_with_dual(x: np.ndarray, c: np.ndarray, guard: tuple[float, int] | None = None,
+def _boxed(c: np.ndarray, p: int, order: np.ndarray) -> np.ndarray:
+    """boxed[b - 1], the c^p mass of the last b entries of order, summed
+    one at a time from its end (np.cumsum is a sequential sum)."""
+    w = c[order]
+    if p == 2:
+        w = w * w
+    return np.add.accumulate(w[::-1])
+
+
+def _candidates(key: np.ndarray, c: np.ndarray,
+                p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates of key >= 0, and boxed[b - 1], the c^p mass of their last b.
+
+    The candidates are the shortest top of key, in stable ascending order
+    (ties by index), whose c^p mass summed from the largest down reaches 1;
+    all of the entries with key > 0 when none does.  They are found by
+    selection, as projections onto the l1 ball are (Duchi et al. 2008): the
+    top k entries, for each k of _tops until their mass reaches 1, and only
+    those are sorted.  The full stable sort runs where _tops finds no such
+    top: below n = 8 * _FIRST_PROBE, with NaN or inf among the largest,
+    with ties past n / _PROBE_GROWTH entries, and when no top of
+    n / _PROBE_GROWTH entries reaches 1.  Either way the candidates, and so
+    every bit computed from them, are the same.
+    """
+    for top in _tops(key, _FIRST_PROBE):
+        order = top[_stable_argsort(key[top])]
+        boxed = _boxed(c, p, order)
+        if boxed[-1] >= 1.0:
+            break
+    else:
+        idx = np.flatnonzero(key > 0)
+        order = idx[np.argsort(key[idx], kind="stable")]
+        boxed = _boxed(c, p, order)
+    j = int(boxed.searchsorted(1.0))
+    return order[max(order.size - j - 1, 0):], boxed[:j + 1]
+
+
+def _g1_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
                   dual: bool = True) -> tuple[float, np.ndarray | None]:
-    """g1 value via the threshold scan plus an optimizing dual vector.
+    """g1 value and optimizing dual z of max{z.x : ||z||_1 <= 1, |z_j| <= c_j}.
 
-    The primal minimum over decompositions reduces to
-    min_{t >= 0} t + sum_j c_j (|x_j| - t)_+ scanned over breakpoints
-    t in {0} U {|x_j|}; the dual vector is the greedy fractional-knapsack
-    fill of max{z.x : ||z||_1 <= 1, |z_j| <= c_j}.  The fill reaches the
-    budget 1 after a few of the largest |x_j|, so the scan runs first on the
-    top k of them (found by selection, ties included), for each k of _tops
-    while the prefix cannot certify the full scan's bits, and then over all
-    of x.  guard is _g1_guard(c), which callers holding c may cache.  With
-    dual False the dual vector is not built (None), and the value keeps its
-    bits.
+    The box value when sum_j c_j <= 1 over the support.  Otherwise z is the
+    greedy fractional-knapsack fill: z_j = c_j sign(x_j) over the largest
+    |x_j| until the budget 1 is spent, the last of them taking what is left.
+    Only the candidates of |x| with weights c are filled, and the value is
+    their fill times |x_j| summed one at a time from the largest down; by
+    LP duality it is min_{t >= 0} t + sum_j c_j (|x_j| - t)_+.  mass is
+    _mass(c, 1), which callers holding c may cache.  With dual False, z is
+    not built (None), and the value keeps its bits.
     """
     x = np.asarray(x, dtype=float)
-    total, k = guard if guard is not None else _g1_guard(c)
     a = np.abs(x)
-    for top in _tops(a, k):
-        found = _g1_on_prefix(x, a, c, top, total, dual)
-        if found is not None:
-            return found
-    return _g1_scan(x, a, c, dual)
+    support, mass = _support_mass(a, c, 1, mass)
+    if mass <= 1.0:
+        return _box(x, a, c, support, dual)
+    cand, boxed = _candidates(a, c, 1)
+    fill = c[cand]                             # ascending: fill[0] is filled last
+    fill[0] = min(fill[0], 1.0 - (boxed[-1] - fill[0]))
+    value = float(np.add.accumulate((fill * a[cand])[::-1])[-1])
+    if not dual:
+        return value, None
+    z = np.zeros_like(a)
+    z[cand] = np.copysign(fill, x[cand])
+    return value, z
 
 
 # g2's rescaled scan moves max |x_j| just below 2^_G2_TOP: a sum of squares of
 # up to 2^200 entries stays finite, and every entry down to 2^-(_G2_TOP + 511)
 # of the largest keeps a normal square
 _G2_TOP = 400
-
-
-def _g2_mass(c: np.ndarray) -> float:
-    """sum_j c_j^2, the mass that g2 compares with 1 over the support of x.
-
-    The support is all of x at every iterate of mirror descent, so callers
-    holding c may cache the mass of all of c.
-    """
-    return float(np.sum(c * c))
-
-
-def _g2_candidates(c: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The shortest tail of order whose c^2 mass, summed from its end, reaches
-    1 (all of order when none does), and boxed[b - 1], the mass of its last b.
-
-    order holds indices in the stable ascending order of the breakpoints,
-    so its end is the largest.
-    """
-    c_o = c[order]
-    boxed = np.add.accumulate((c_o * c_o)[::-1])   # np.cumsum: a sequential sum
-    j = int(boxed.searchsorted(1.0))
-    return order[max(order.size - j - 1, 0):], boxed[:j + 1]
 
 
 def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
@@ -321,27 +324,19 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
     The optimal z clamps x/rho at the box, z_j = clamp(x_j / rho, +-c_j); rho
     solves ||z(rho)||_2 = 1, found exactly on the sorted breakpoints
     |x_j| / c_j, unless the box absorbs the whole ball (sum of c_j^2 over the
-    support <= 1), in which case g2 = sum_j c_j |x_j|.
+    support <= 1), in which case g2 is the box value sum_j c_j |x_j|.
 
     Slot b boxes the b largest breakpoints and leaves the rest uncapped, and
     the answer is the slot with the fewest boxed entries whose rho falls
     inside its own interval.  Only slots whose boxed c^2 mass is below 1 can
-    hold, so only the candidates are ever boxed or bound an interval: the
-    shortest tail of the breakpoints, in stable ascending order (ties by
-    index), whose c^2 mass from the largest down reaches 1.  They are found
-    by selection, as g1's prefix is: the top k breakpoints, for each k of
-    _tops until their mass reaches 1, and only those are sorted.  The full
-    stable sort of the support runs where _tops finds no such top: below
-    n = 8 * _FIRST_PROBE, with NaN or inf among the largest, with ties past
-    n / _PROBE_GROWTH entries, and when no tail of n / _PROBE_GROWTH
-    entries reaches 1 (all of the support are candidates when none of it
-    does).  The arithmetic depends on the candidates alone, not on how they
-    were found: the uncapped mass of a slot is one pairwise np.sum of a_j^2
-    over every entry outside the candidates, then the uncapped candidates'
-    squares added in ascending order.  (Total minus boxed squares would
-    lose the uncapped mass when the boxed entries hold nearly all of it.)
+    hold, so only the candidates of the breakpoints with weights c^2 are
+    ever boxed or bound an interval.  The uncapped mass of a slot is one
+    pairwise np.sum of a_j^2 over every entry outside the candidates, then
+    the uncapped candidates' squares added in ascending order.  (Total minus
+    boxed squares would lose the uncapped mass when the boxed entries hold
+    nearly all of it.)
 
-    mass is _g2_mass(c), which callers holding c may cache.  A mass above 1
+    mass is _mass(c, 2), which callers holding c may cache.  A mass above 1
     only by rounding can leave no slot consistent; g2 is then the box value.
     Squares that underflow (|x_j| below about 1e-154, as on the entries an
     entropic descent drives out) can too: the scan is then redone, once, on
@@ -353,77 +348,48 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
     value keeps its bits.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
     a = np.abs(x)
-    if n and a.min() > 0.0:                    # full support; NaN is not > 0
-        support = None
-        if mass is None:
-            mass = _g2_mass(c)
-    else:
-        support = a > 0
-        if not support.any():
-            return 0.0, np.zeros_like(a) if dual else None
-        mass = _g2_mass(c[support])
-    r = None
-    if mass > 1.0:
-        bp = a / c
-        for top in _tops(bp, _FIRST_PROBE):   # all in the support: bp is finite, above 0
-            cand, boxed = _g2_candidates(c, top[_stable_argsort(bp[top])])
-            if boxed[-1] >= 1.0:
-                break
-        else:
-            idx = np.flatnonzero(a > 0)
-            cand, boxed = _g2_candidates(c, idx[np.argsort(bp[idx], kind="stable")])
-        a_c, c_c, bp_c = a[cand], c[cand], bp[cand]
-        sq = np.multiply(a, a, out=bp)         # bp's buffer, and later z's
-        sq[cand] = 0.0
-        if support is not None:
-            sq[~support] = 0.0                 # x_j NaN; zeros are 0 already
-        # uncapped[i] puts candidates 0..i uncapped, the other m - 1 - i boxed
-        m = cand.size
-        uncapped = np.empty(m + 1)
-        uncapped[0] = np.add.reduce(sq)
-        np.multiply(a_c, a_c, out=uncapped[1:])
-        uncapped = np.add.accumulate(uncapped)[1:]
-        room = np.ones(m)                                    # 1 - boxed mass
-        np.subtract(1.0, boxed[:m - 1][::-1], out=room[:-1])
-        rho = np.sqrt(uncapped / room)
-        hi = np.empty(m)                                     # each slot's upper bound
-        hi[:-1] = bp_c[1:]
-        hi[-1] = np.inf
-        consistent = ((uncapped != 0.0) & (bp_c * (1.0 - 1e-12) <= rho)
-                      & (rho <= hi * (1.0 + 1e-12) + 1e-300))
-        hits = consistent.nonzero()[0]
-        if hits.size:
-            i = hits[-1]
-            r = float(rho[i])
-            boxed_ca = (c_c * a_c)[i + 1:][::-1]
-            capped = np.add.accumulate(boxed_ca)[-1] if boxed_ca.size else 0.0
-            value = float(capped + uncapped[i] / r)
-        else:
-            support_size = n if support is None else int(np.count_nonzero(support))
-            if mass - 1.0 > 2.0 * (support_size + 8) * np.finfo(float).eps:
-                if rescaled or not np.isfinite(a.max()):
-                    raise RuntimeError("g2 breakpoint scan found no consistent interval")
-                shift = _G2_TOP - math.frexp(float(a.max()))[1]
-                x = np.ldexp(x, shift)             # exact; max |x_j| now below 2^_G2_TOP
-                x[np.abs(x) < 2.0 ** -511] = 0.0   # squares below the normal range
-                value, z = _g2_with_dual(x, c, rescaled=True, dual=dual)
-                return math.ldexp(value, -shift), z
-    if r is None:                              # the box value
-        if support is None:
-            x_s, a_s, c_s = x, a, c
-        else:
-            x_s, a_s, c_s = x[support], a[support], c[support]
-        value = float(np.sum(c_s * a_s))
-        if not dual:
-            return value, None
-        z_s = np.copysign(c_s, x_s)
-        if support is None:
-            return value, z_s
-        z = np.zeros_like(a)
-        z[support] = z_s
-        return value, z
+    support, mass = _support_mass(a, c, 2, mass)
+    if mass <= 1.0:
+        return _box(x, a, c, support, dual)
+    bp = a / c
+    cand, boxed = _candidates(bp, c, 2)
+    a_c, c_c, bp_c = a[cand], c[cand], bp[cand]
+    sq = np.multiply(a, a, out=bp)             # bp's buffer, and later z's
+    sq[cand] = 0.0
+    if support is not None:
+        sq[~support] = 0.0                     # x_j NaN; zeros are 0 already
+    # uncapped[i] puts candidates 0..i uncapped, the other m - 1 - i boxed
+    m = cand.size
+    uncapped = np.empty(m + 1)
+    uncapped[0] = np.add.reduce(sq)
+    np.multiply(a_c, a_c, out=uncapped[1:])
+    uncapped = np.add.accumulate(uncapped)[1:]
+    room = np.ones(m)                                    # 1 - boxed mass
+    np.subtract(1.0, boxed[:m - 1][::-1], out=room[:-1])
+    rho = np.sqrt(uncapped / room)
+    hi = np.empty(m)                                     # each slot's upper bound
+    hi[:-1] = bp_c[1:]
+    hi[-1] = np.inf
+    consistent = ((uncapped != 0.0) & (bp_c * (1.0 - 1e-12) <= rho)
+                  & (rho <= hi * (1.0 + 1e-12) + 1e-300))
+    hits = consistent.nonzero()[0]
+    if not hits.size:
+        support_size = x.size if support is None else int(np.count_nonzero(support))
+        if mass - 1.0 > 2.0 * (support_size + 8) * np.finfo(float).eps:
+            if rescaled or not np.isfinite(a.max()):
+                raise RuntimeError("g2 breakpoint scan found no consistent interval")
+            shift = _G2_TOP - math.frexp(float(a.max()))[1]
+            x = np.ldexp(x, shift)             # exact; max |x_j| now below 2^_G2_TOP
+            x[np.abs(x) < 2.0 ** -511] = 0.0   # squares below the normal range
+            value, z = _g2_with_dual(x, c, rescaled=True, dual=dual)
+            return math.ldexp(value, -shift), z
+        return _box(x, a, c, support, dual)
+    i = hits[-1]
+    r = float(rho[i])
+    boxed_ca = (c_c * a_c)[i + 1:][::-1]
+    capped = np.add.accumulate(boxed_ca)[-1] if boxed_ca.size else 0.0
+    value = float(capped + uncapped[i] / r)
     if not dual:
         return value, None
     z = np.divide(a, r, out=sq)
@@ -440,25 +406,28 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
 def g1(x: np.ndarray, c: np.ndarray) -> float:
     """min over x = u + v of ||u||_inf + sum_j c_j |v_j|.
 
-    O(n) selection plus a sort of the k largest |x_j|, where k is 32, or
-    2/max(c) when that is more, grown eightfold (the last probe at n/8)
-    while the fill of weight 1 is not certified inside them; the O(n log n)
-    full scan when k would pass n/8, as it does when sum(c) <= 1 (the
-    default c_j = 1/n).
+    x must be finite and 1-d, and c > 0 of its shape (else ValueError).  The
+    box value sum_j c_j |x_j| when sum_j c_j <= 1 over the support, as with
+    the default c_j = 1/n; otherwise O(n) selection of the k largest |x_j|,
+    with k from 32 grown eightfold (the last probe at n/8) until their
+    weight reaches 1, a stable sort of those k alone and the greedy fill;
+    the O(n log n) stable sort of every |x_j| when the weight is not
+    reached within n/8 of them.
     """
-    return _g1_with_dual(x, _check_weights(c), dual=False)[0]
+    return _g1_with_dual(*_check_penalty_args(x, c), dual=False)[0]
 
 
 def g2(x: np.ndarray, c: np.ndarray) -> float:
     """min over x = u + v of ||u||_2 + sum_j c_j |v_j|.
 
-    O(n) selection of the k largest breakpoints |x_j| / c_j, with k from 32
+    x must be finite and 1-d, and c > 0 of its shape (else ValueError).  The
+    box value when sum_j c_j^2 <= 1 over the support; otherwise O(n)
+    selection of the k largest breakpoints |x_j| / c_j, with k from 32
     grown eightfold (the last probe at n/8) until their c^2 mass reaches 1,
     a stable sort of those k alone, and O(n) sums; the O(n log n) stable
-    sort of every breakpoint when the mass is not reached within n/8 of
-    them.  No sort at all when sum_j c_j^2 <= 1 over the support.
+    sort of every breakpoint when the mass is not reached within n/8 of them.
     """
-    return _g2_with_dual(x, _check_weights(c), dual=False)[0]
+    return _g2_with_dual(*_check_penalty_args(x, c), dual=False)[0]
 
 
 def g_oracle(x: np.ndarray, c: np.ndarray, kind: str) -> float:
@@ -526,8 +495,7 @@ class Objective:
         self.spec = spec
         self._l1_residual = spec.pair.residual_norm == "l1"
         self._weights = None if spec.pair is NormPair.L2_L2 else spec.weights(P.n)
-        self._g1_guard = _g1_guard(self._weights) if spec.pair is NormPair.L1_G1 else None
-        self._g2_mass = _g2_mass(self._weights) if spec.pair is NormPair.L2_G2 else None
+        self._mass = spec.penalty_mass(P.n)
 
     def _penalty_with_dual(self, x: np.ndarray,
                            dual: bool) -> tuple[float, np.ndarray | None]:
@@ -540,8 +508,8 @@ class Objective:
                 return 0.0, np.zeros_like(x)
             return nx, x / nx
         if self.spec.pair is NormPair.L1_G1:
-            return _g1_with_dual(x, self._weights, self._g1_guard, dual=dual)
-        return _g2_with_dual(x, self._weights, self._g2_mass, dual=dual)
+            return _g1_with_dual(x, self._weights, self._mass, dual=dual)
+        return _g2_with_dual(x, self._weights, self._mass, dual=dual)
 
     def evaluate(self, x: np.ndarray, with_subgradient: bool = False, *,
                  Px: np.ndarray | None = None

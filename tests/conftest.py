@@ -53,6 +53,40 @@ def web_graph(n, seed):
     return from_edge_list(edge_list(list(zip(src.tolist(), dst.tolist())), n))
 
 
+def _g1_fill_loop(x, c):
+    """g1 value and dual z: the box value when sum(c) over the support is at
+    most 1, else the greedy fill of z by a loop from the largest |x_j| down.
+
+    The loop reads the support in stable ascending order of |x_j| (ties by
+    index) from its end, and fills entries until their c mass, summed one
+    at a time, reaches 1 (or the support ends).  Each takes c_j, the last
+    one at most what is left of the budget 1: 1 minus the mass up to it
+    less its own c_j.  The value sums the fill times |x_j| one at a time in
+    that order.  The reference that norms._g1_with_dual, which finds the
+    filled entries by selection, must match bit for bit.
+    """
+    a = np.abs(x)
+    z = np.zeros_like(a)
+    support = a > 0
+    if float(np.sum(c[support])) <= 1.0:
+        z[support] = np.sign(x[support]) * c[support]
+        return float(np.sum(c[support] * a[support])), z
+    idx = np.flatnonzero(support)
+    order = idx[np.argsort(a[idx], kind="stable")]
+    filled, boxed = [], 0.0
+    for j in order[::-1]:
+        filled.append(j)
+        boxed += c[j]
+        if boxed >= 1.0:
+            break
+    value = 0.0
+    for j in filled:
+        take = c[j] if j != filled[-1] else min(c[j], 1.0 - (boxed - c[j]))
+        value += take * a[j]
+        z[j] = math.copysign(take, x[j])
+    return float(value), z
+
+
 def _g2_scan_loop(x, c):
     """g2 value and dual z: the candidates found by a loop from the largest
     breakpoint, then every slot from the fewest boxed entries up.

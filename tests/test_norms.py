@@ -9,8 +9,8 @@ from robusteig import (NormPair, SparseStochasticMatrix, UncertaintySpec, g1,
 from robusteig.graph_matrix import out_degrees
 from robusteig.norms import Objective, _g1_with_dual, _g2_with_dual, _stable_argsort
 
-from conftest import (SEVEN_NODE_XBAR, _g2_prefix_scan_loop, _g2_scan_loop,
-                      random_stochastic_dense, web_graph)
+from conftest import (SEVEN_NODE_XBAR, _g1_fill_loop, _g2_prefix_scan_loop,
+                      _g2_scan_loop, random_stochastic_dense, web_graph)
 
 
 def _random_case(rng, n_max=8):
@@ -54,7 +54,8 @@ def _g2_outcome(g2_with_dual, x, c):
 
 
 def _g1_scan(x, c):
-    """_g1_with_dual as a stable argsort of all of |x| and a scan of every breakpoint."""
+    """g1 as it was before the greedy fill over the candidates: a stable argsort
+    of all of |x|, descending with ties by index, and a scan of every breakpoint."""
     a = np.abs(x)
     order = np.argsort(-a, kind="stable")
     a_s, c_s = a[order], c[order]
@@ -96,6 +97,15 @@ def _g1_c_families(rng, n):
     yield "fixed 0.05", np.full(n, 0.05)
     yield "fixed 0.3", np.full(n, 0.3)
     yield "1/n with 1% at 1", np.where(rng.random(n) < 0.01, 1.0, 1.0 / n)
+
+
+def _g1_cases(rng):
+    """(n, x name, x, c name, c) for the g1 equivalence sweeps."""
+    for n in (1, 7, 255, 256, 400, 2000, 3000):
+        for _ in range(4):
+            for x_name, x in _g1_x_families(rng, n):
+                for c_name, c in _g1_c_families(rng, n):
+                    yield n, x_name, x, c_name, c
 
 
 def _g2_cases(rng):
@@ -317,16 +327,31 @@ class TestOracles:
         assert value == pytest.approx(0.5, rel=1e-15)
         assert z.tolist() == [0.5] * 3 + [0.0] * 47
 
-    def test_g1_selection_matches_the_full_scan_bit_for_bit(self):
-        rng = np.random.default_rng(13)
-        for n in (1, 7, 255, 256, 400, 2000, 3000):
-            for _ in range(4):
-                for x_name, x in _g1_x_families(rng, n):
-                    for c_name, c in _g1_c_families(rng, n):
-                        value, z = _g1_with_dual(x, c)
-                        want_value, want_z = _g1_scan(x, c)
-                        assert value == want_value, (n, x_name, c_name)
-                        assert np.array_equal(z, want_z), (n, x_name, c_name)
+    def test_g1_fill_matches_the_loop_bit_for_bit(self):
+        for n, x_name, x, c_name, c in _g1_cases(np.random.default_rng(13)):
+            value, z = _g1_with_dual(x, c)
+            want_value, want_z = _g1_fill_loop(x, c)
+            assert value == want_value, (n, x_name, c_name)
+            assert z.tobytes() == want_z.tobytes(), (n, x_name, c_name)
+            assert _g1_with_dual(x, c, float(np.sum(c)), dual=False) == (value, None)
+
+    def test_g1_fill_matches_the_full_scan_within_rounding(self):
+        # the greedy fill against the scan over every breakpoint that g1 used
+        # before: the same value up to the order of its sums, and the same
+        # dual vector but where the two break ties in |x_j| the other way
+        for n, x_name, x, c_name, c in _g1_cases(np.random.default_rng(13)):
+            value, z = _g1_with_dual(x, c)
+            want_value, want_z = _g1_scan(x, c)
+            tol = 4 * n * np.finfo(float).eps  # absolute on fills of the budget 1
+            # the scan's sums run past the fill, over up to all of c
+            np.testing.assert_allclose(value, want_value, rtol=tol * (1.0 + np.sum(c)),
+                                       atol=0.0, err_msg=f"{n} {x_name} {c_name}")
+            _, group, count = np.unique(np.abs(x), return_inverse=True, return_counts=True)
+            alone = count[group] == 1
+            np.testing.assert_allclose(z[alone], want_z[alone], rtol=0.0, atol=tol)
+            for v in np.flatnonzero(count > 1):  # each run of ties takes the same share
+                np.testing.assert_allclose(np.abs(z[group == v]).sum(),
+                                           np.abs(want_z[group == v]).sum(), rtol=0.0, atol=tol)
 
     def test_g1_sorts_only_a_short_prefix(self, monkeypatch):
         # inv-degree-like weights fill the budget within a few of the largest
@@ -348,6 +373,28 @@ class TestOracles:
         monkeypatch.undo()
         assert sizes and max(sizes) <= 1024
         assert value == _g1_scan(x, c)[0]
+
+    def test_g1_sorts_nothing_under_the_default_budgets(self, monkeypatch):
+        # c_j = 1/n sums to at most 1, so g1 is the box value sum_j c_j |x_j|
+        rng = np.random.default_rng(26)
+        n = 100_000
+        c = UncertaintySpec(1.0, NormPair.L1_G1).weights(n)
+        assert np.sum(c) <= 1.0
+        u = rng.random(n) ** 8
+        sizes = []
+        argsort = np.argsort
+
+        def counted(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        for x in (u / u.sum(), np.where(rng.random(n) < 0.2, 0.0, u)):
+            value, z = _g1_with_dual(x, c)
+            assert g1(x, c) == value == float(np.sum(c * x))
+            assert z.tolist() == np.where(x > 0, c, 0.0).tolist()
+        monkeypatch.undo()
+        assert sizes == []
 
     @pytest.mark.parametrize("shape", ["heavy-tailed", "web-like"])
     def test_g2_sorts_only_the_top_of_the_breakpoints(self, monkeypatch, shape):
@@ -550,6 +597,20 @@ class TestSubgradientPhi:
             fd = (phi_value(seven_node, x + h * d, spec)
                   - phi_value(seven_node, x - h * d, spec)) / (2 * h)
             assert fd == pytest.approx(float(g @ d), abs=1e-5)
+
+
+@pytest.mark.parametrize("kind", ["g1", "g2"])
+@pytest.mark.parametrize("x, c", [
+    ([1.0, 2.0, 3.0], [0.5]),                  # c shorter than x
+    (np.ones((2, 2)), np.ones((2, 2))),        # x not 1-d
+    ([np.nan, 1.0], [1.0, 1.0]),
+    ([np.inf, 1.0], [1.0, 1.0]),
+    ([1.0, -np.inf], [0.5, 0.5]),
+], ids=["short-c", "2-d", "nan", "inf", "minus-inf"])
+def test_bad_penalty_input_rejected(kind, x, c):
+    fn = g1 if kind == "g1" else g2
+    with pytest.raises(ValueError):
+        fn(x, c)
 
 
 def test_g1_g2_runtime_scales_near_linearly():
