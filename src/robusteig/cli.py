@@ -15,7 +15,7 @@ import numpy as np
 
 from . import graph_matrix, models, perturbation, solvers
 from .graph_matrix import InputError, SparseStochasticMatrix
-from .norms import NormPair, UncertaintySpec, phi
+from .norms import NormPair, UncertaintySpec, box_fits, phi
 from .perturbation import InfeasiblePerturbationError, pair_for_set
 from .solvers import SolveReport, SolverConfig
 
@@ -136,7 +136,7 @@ def _uncertainty_spec(args, P: SparseStochasticMatrix) -> UncertaintySpec:
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     mass = spec.penalty_mass(P.n)
-    if mass is not None and mass <= 1.0 + 1e-12:
+    if mass is not None and box_fits(mass):
         name = "c_j" if spec.pair is NormPair.L1_G1 else "c_j^2"
         print(f"robusteig: warning: sum_j {name} = {mass:.6g} <= 1, so the {args.pair} "
               "penalty is the linear sum_j c_j x_j on the simplex (a constant for the "

@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 from numpy.dtypes import StringDType
 from scipy import sparse
+from scipy.sparse import csgraph
 
 COLUMN_SUM_TOL = 1e-12
 SIMPLEX_TOL = 1e-9
@@ -233,6 +234,29 @@ def out_degrees(P: SparseStochasticMatrix) -> np.ndarray:
     deg = np.diff(P._links.indptr).astype(np.int64)
     deg[P._dangling_index] = P.n
     return deg
+
+
+def is_irreducible(P: SparseStochasticMatrix) -> bool:
+    """Whether every node of P reaches every other along its links.
+
+    One pass over the strong components of the link graph
+    (scipy.sparse.csgraph), no matvec.  Following links, every node reaches
+    a closed component, one that no link leaves.  A dangling node is closed
+    in the link graph but links to all n nodes in P; any other closed
+    component, beside a second component, reaches no node outside it.  So
+    P is irreducible when the link graph is one component, or when every
+    closed component is a dangling node.
+    """
+    count, labels = csgraph.connected_components(P._links_t, directed=True,
+                                                 connection="strong")
+    if count == 1:
+        return True
+    links_t = P._links_t
+    tail = labels[np.repeat(np.arange(P.n), np.diff(links_t.indptr))]
+    closed = np.ones(count, dtype=bool)
+    closed[tail[tail != labels[links_t.indices]]] = False
+    closed[labels[P._dangling_index]] = False
+    return not closed.any()
 
 
 def validate(P: SparseStochasticMatrix, tol: float = COLUMN_SUM_TOL) -> ValidationReport:

@@ -14,9 +14,9 @@ characterizations drive both evaluation and subgradients:
 and any optimizing z is a subgradient.
 
 Both take one path, with p = 1 for g1 and p = 2 for g2.  When the c^p mass
-over the support of x is at most 1, the box z = c sign(x) is feasible and
-g_p is the box value sum_j c_j |x_j|, with no sort at all, as under g1 with
-the default c_j = 1/n where their float sum is at most 1.  Otherwise only
+over the support of x is at most 1 (up to rounding, see box_fits), the box
+z = c sign(x) is feasible and g_p is the box value sum_j c_j |x_j|, with no
+sort at all, as under g1 with the default c_j = 1/n.  Otherwise only
 the largest entries of a key decide the value: its candidates, the shortest
 top of the key whose c^p mass reaches 1.  The key is |x_j| for g1 and the
 breakpoint |x_j| / c_j for g2.  The candidates are found by selection, as
@@ -105,9 +105,9 @@ class UncertaintySpec:
     def penalty_mass(self, n: int) -> float | None:
         """sum_j c_j for l1g1, sum_j c_j^2 for l2g2, None for l2l2.
 
-        At most 1, the g1 or g2 penalty is sum_j c_j |x_j|: linear on the
-        simplex, and a constant under the default eps/n budgets.  It is the
-        sum that g1 or g2 itself compares with 1.
+        Where box_fits(mass), at most 1 up to rounding, the g1 or g2 penalty
+        is sum_j c_j |x_j|: linear on the simplex, and a constant under the
+        default eps/n budgets.  It is the sum that g1 or g2 itself tests.
         """
         if self.pair is NormPair.L2_L2:
             return None
@@ -205,6 +205,23 @@ def _stable_argsort(b: np.ndarray) -> np.ndarray:
     return perm[np.argsort(run, kind="stable")]
 
 
+# the c^p mass up to which the box z = c sign(x) counts as feasible: 1 plus
+# what rounding adds to a float sum of weights that are 1 in exact arithmetic
+# (the default c_j = 1/n sum to 1 + 4.4e-16 at n = 2000)
+_BOX_SLACK = 1e-12
+
+
+def box_fits(mass: float) -> bool:
+    """Whether weights of c^p mass `mass` over the support make g_p the box
+    value sum_j c_j |x_j|: mass at most 1 + _BOX_SLACK.
+
+    The one test of g1, g2 and the CLI's linear-penalty warning.  Above 1 by
+    delta <= _BOX_SLACK, the box value exceeds g_p by at most delta times
+    g_p, and z = c sign(x) leaves the unit p-ball by as little.
+    """
+    return mass <= 1.0 + _BOX_SLACK
+
+
 def _mass(c: np.ndarray, p: int) -> float:
     """sum_j c_j^p, the mass that g_p compares with 1 over the support of x."""
     return float(np.sum(c if p == 1 else c * c))
@@ -285,19 +302,19 @@ def _g1_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
                   dual: bool = True) -> tuple[float, np.ndarray | None]:
     """g1 value and optimizing dual z of max{z.x : ||z||_1 <= 1, |z_j| <= c_j}.
 
-    The box value when sum_j c_j <= 1 over the support.  Otherwise z is the
-    greedy fractional-knapsack fill: z_j = c_j sign(x_j) over the largest
-    |x_j| until the budget 1 is spent, the last of them taking what is left.
-    Only the candidates of |x| with weights c are filled, and the value is
-    their fill times |x_j| summed one at a time from the largest down; by
-    LP duality it is min_{t >= 0} t + sum_j c_j (|x_j| - t)_+.  mass is
-    _mass(c, 1), which callers holding c may cache.  With dual False, z is
-    not built (None), and the value keeps its bits.
+    The box value when box_fits(sum_j c_j over the support).  Otherwise z
+    is the greedy fractional-knapsack fill: z_j = c_j sign(x_j) over the
+    largest |x_j| until the budget 1 is spent, the last of them taking what
+    is left.  Only the candidates of |x| with weights c are filled, and the
+    value is their fill times |x_j| summed one at a time from the largest
+    down; by LP duality it is min_{t >= 0} t + sum_j c_j (|x_j| - t)_+.
+    mass is _mass(c, 1), which callers holding c may cache.  With dual
+    False, z is not built (None), and the value keeps its bits.
     """
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     support, mass = _support_mass(a, c, 1, mass)
-    if mass <= 1.0:
+    if box_fits(mass):
         return _box(x, a, c, support, dual)
     cand, boxed = _candidates(a, c, 1)
     fill = c[cand]                             # ascending: fill[0] is filled last
@@ -323,8 +340,9 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
 
     The optimal z clamps x/rho at the box, z_j = clamp(x_j / rho, +-c_j); rho
     solves ||z(rho)||_2 = 1, found exactly on the sorted breakpoints
-    |x_j| / c_j, unless the box absorbs the whole ball (sum of c_j^2 over the
-    support <= 1), in which case g2 is the box value sum_j c_j |x_j|.
+    |x_j| / c_j, unless the box absorbs the whole ball (box_fits of the sum
+    of c_j^2 over the support), in which case g2 is the box value
+    sum_j c_j |x_j|.
 
     Slot b boxes the b largest breakpoints and leaves the rest uncapped, and
     the answer is the slot with the fewest boxed entries whose rho falls
@@ -350,7 +368,7 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     support, mass = _support_mass(a, c, 2, mass)
-    if mass <= 1.0:
+    if box_fits(mass):
         return _box(x, a, c, support, dual)
     bp = a / c
     cand, boxed = _candidates(bp, c, 2)
@@ -407,12 +425,12 @@ def g1(x: np.ndarray, c: np.ndarray) -> float:
     """min over x = u + v of ||u||_inf + sum_j c_j |v_j|.
 
     x must be finite and 1-d, and c > 0 of its shape (else ValueError).  The
-    box value sum_j c_j |x_j| when sum_j c_j <= 1 over the support, as with
-    the default c_j = 1/n; otherwise O(n) selection of the k largest |x_j|,
-    with k from 32 grown eightfold (the last probe at n/8) until their
-    weight reaches 1, a stable sort of those k alone and the greedy fill;
-    the O(n log n) stable sort of every |x_j| when the weight is not
-    reached within n/8 of them.
+    box value sum_j c_j |x_j| when sum_j c_j <= 1 over the support (up to
+    rounding, see box_fits), as with the default c_j = 1/n; otherwise O(n)
+    selection of the k largest |x_j|, with k from 32 grown eightfold (the
+    last probe at n/8) until their weight reaches 1, a stable sort of those
+    k alone and the greedy fill; the O(n log n) stable sort of every |x_j|
+    when the weight is not reached within n/8 of them.
     """
     return _g1_with_dual(*_check_penalty_args(x, c), dual=False)[0]
 
@@ -421,11 +439,12 @@ def g2(x: np.ndarray, c: np.ndarray) -> float:
     """min over x = u + v of ||u||_2 + sum_j c_j |v_j|.
 
     x must be finite and 1-d, and c > 0 of its shape (else ValueError).  The
-    box value when sum_j c_j^2 <= 1 over the support; otherwise O(n)
-    selection of the k largest breakpoints |x_j| / c_j, with k from 32
-    grown eightfold (the last probe at n/8) until their c^2 mass reaches 1,
-    a stable sort of those k alone, and O(n) sums; the O(n log n) stable
-    sort of every breakpoint when the mass is not reached within n/8 of them.
+    box value when sum_j c_j^2 <= 1 over the support (up to rounding, see
+    box_fits); otherwise O(n) selection of the k largest breakpoints
+    |x_j| / c_j, with k from 32 grown eightfold (the last probe at n/8)
+    until their c^2 mass reaches 1, a stable sort of those k alone, and
+    O(n) sums; the O(n log n) stable sort of every breakpoint when the mass
+    is not reached within n/8 of them.
     """
     return _g2_with_dual(*_check_penalty_args(x, c), dual=False)[0]
 

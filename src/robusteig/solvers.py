@@ -4,6 +4,12 @@ first-order minimizer of the robust objective (Barzilai-Borwein steps on the
 l2 pairs, a halving step schedule on l1g1, both stopped by a certified
 duality gap within a budget of evaluations), and a brute-force simplex-grid
 oracle for tiny instances.
+
+On l1g1 the minimizer first tries an exact certificate: on an irreducible
+P, the dominant eigenvector is the robust optimum for every eps up to a
+threshold eps_c, and a dual pair read off the chain's Poisson equation
+(Kemeny & Snell, Finite Markov Chains, 1960) proves it; see
+_nominal_certificate.
 """
 
 from __future__ import annotations
@@ -15,13 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_matrix import (SparseStochasticMatrix, check_score_vector,
-                           uniform_vector)
+                           is_irreducible, uniform_vector)
 from .norms import NormPair, Objective, ObjectiveValue, UncertaintySpec, g2
 
 STOP_PHI_INCREASE = "phi_increase"
 STOP_MAX_ITER = "max_iter"
 STOP_TOLERANCE = "tolerance"
 STOP_GAP = "gap"
+STOP_NOMINAL = "nominal"
 
 # default pair used whenever a solver needs an objective but the caller gave
 # no uncertainty model: both norms Euclidean, unit budget
@@ -35,6 +42,13 @@ _STALL_TOL = 1e-12
 
 # mirror_descent_minimize stops once best phi - lower bound <= _GAP_TOL * best phi
 _GAP_TOL = 1e-3
+
+# its nominal certificate on l1g1 gives up after this many terms of its
+# Poisson series, one rmatvec each, so that a decline costs a bounded
+# amount: about the rmatvecs of the default 9000-evaluation descent.
+# Measured under inv-degree budgets, the periodic Model 2 grids of side 10,
+# 20 and 30 take 553, 2341 and 5360 terms, a 1e5-node web graph 37
+_POISSON_TERMS = 10_000
 
 # its line search on the l2 pairs accepts a step when phi is at most the
 # largest of the last _LINE_SEARCH_MEMORY accepted values plus
@@ -67,6 +81,11 @@ class SolveReport:
     objective.total - lower_bound bounds how far the returned objective is
     from the optimum.  Mirror descent sets it on every return; the other
     solvers leave it None.
+
+    stop_reason nominal is mirror descent's on l1g1 when it returns the
+    certified dominant eigenvector and runs no descent: phi_history then
+    holds its one value, and iterations_used counts the terms of the
+    certificate's Poisson series, one rmatvec each.
     """
 
     final: np.ndarray
@@ -81,12 +100,13 @@ class SolveReport:
 class SolverConfig:
     """Budgets of mirror_descent_minimize.
 
-    max_iter bounds its regularized-power warm start.  md_epochs *
+    tol is the residual ||P x - x||_1 to which l1g1's nominal certificate
+    computes the dominant eigenvector, as `--solver nominal --tol` does.
+    max_iter bounds the regularized-power warm start.  md_epochs *
     md_iters_per_epoch bounds the evaluations of the descent itself, which
     may stop earlier on a certified duality gap; l1g1 also takes its step
-    schedule from them (md_epochs epochs of md_iters_per_epoch steps).  alpha
-    and tol are validated but read by no solver: the benchmark still passes
-    them.
+    schedule from them (md_epochs epochs of md_iters_per_epoch steps).
+    alpha is validated but read by no solver: the benchmark still passes it.
     """
 
     alpha: float = 0.85
@@ -355,6 +375,68 @@ def _barzilai_borwein(descent: _Descent, budget: int) -> str:
     return STOP_MAX_ITER
 
 
+def _nominal_certificate(P: SparseStochasticMatrix, objective: Objective,
+                         tol: float) -> SolveReport | None:
+    """The dominant eigenvector, certified as l1g1's robust optimum, or None.
+
+    For u in the unit l_inf ball and z in g1's dual set, phi(y) >=
+    ((P - I)^T u + eps z) . y on the simplex, so D = min_j of that vector is
+    a lower bound on min phi, for every P.  At a stationary x (P x = x),
+    with penalty value pen and g1 dual z there, u = eps v with
+    (P - I)^T v = pen 1 - z, the Poisson equation of the chain, makes the
+    vector eps pen 1 = phi(x) 1: if ||u||_inf <= 1, D = phi(x) and x is
+    optimal.  v is fixed up to a constant, and half the range of v is the
+    least ||.||_inf of one, so this holds exactly for eps up to
+    eps_c = 2 / (max v - min v).
+
+    Declines (None) with no matvec unless P is irreducible.  Otherwise x is
+    dominant_eigenvector(P, tol), and v the lazy series
+    v <- (P^T v + v - rhs) / 2, rhs = pen 1 - z, which converges on periodic
+    chains too; it is centred by its mid-range at each term, since an x off
+    the exact eigenvector leaves rhs slightly off orthogonal to it, which
+    moves v by a constant each term.  The series stops once
+    ||P x - x||_1 + eps ||res||_inf, with res = (P^T - I) v - rhs, is at most
+    _GAP_TOL phi(x), and declines if _POISSON_TERMS terms do not get there.
+    It declines if eps (max v - min v) / 2 > 1; u is never scaled into the
+    ball.  Last, D costs one rmatvec; phi(x) - D must meet _GAP_TOL phi(x)
+    (which only rounding can undo), and x is returned with reason nominal,
+    lower_bound D and iterations_used the series' terms.
+    """
+    if not is_irreducible(P):
+        return None
+    x = dominant_eigenvector(P, tol)
+    value, _ = objective.evaluate(x)
+    eps = objective.spec.epsilon
+    allowance = _GAP_TOL * value.total - value.residual_term   # what eps ||res||_inf may take
+    if allowance < 0.0:
+        return None
+    pen, z = objective._penalty_with_dual(x, dual=True)
+    rhs = pen - z
+    v = np.zeros(P.n)
+    res = -rhs
+    terms = 0
+    while eps * float(np.abs(res).max()) > allowance:
+        if terms == _POISSON_TERMS:
+            return None
+        res *= 0.5
+        v += res
+        v -= (v.max() + v.min()) / 2.0
+        res = P.rmatvec(v)
+        res -= v
+        res -= rhs
+        terms += 1
+    u = eps * v                                 # centred, as every term is
+    if float(np.abs(u).max()) > 1.0:
+        return None
+    h = P.rmatvec(u)
+    h -= u
+    h += eps * z
+    lower = float(h.min())
+    if value.total - lower > _GAP_TOL * value.total:
+        return None
+    return SolveReport(x, [(0, value.total)], terms, STOP_NOMINAL, value, lower)
+
+
 def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
                             config: SolverConfig | None = None,
                             x0: np.ndarray | None = None) -> SolveReport:
@@ -398,11 +480,25 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
     Unless x0 is given, descent starts from the stopped regularized-power
     iterate (cheap and already good), so the returned objective never exceeds
     that method's result.
+
+    On l1g1, before the warm start and whatever x0, _nominal_certificate
+    tries to prove the dominant eigenvector at config.tol optimal, to the
+    same _GAP_TOL.  Where it can (P irreducible and eps at most eps_c), that
+    vector is returned with reason nominal, its certificate's bound as
+    lower_bound, and no warm start or descent.  Otherwise it declines: with
+    no matvec or rmatvec on a reducible P, else after at most
+    _POISSON_TERMS + 1 rmatvecs and the nominal solve; the descent then
+    runs as it would without it.
     """
     config = config or SolverConfig()
+    objective = Objective(P, spec)
+    if spec.pair is NormPair.L1_G1:
+        report = _nominal_certificate(P, objective, config.tol)
+        if report is not None:
+            return report
     if x0 is None:
         x0 = regularized_power_method(P, spec, max_iter=config.max_iter).final
-    descent = _Descent(Objective(P, spec), check_score_vector(x0).copy())
+    descent = _Descent(objective, check_score_vector(x0).copy())
     if descent.certified():
         stop_reason = STOP_GAP
     elif spec.pair is NormPair.L1_G1:

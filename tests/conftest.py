@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from robusteig import edge_list, from_edge_list, uniform_vector
-from robusteig.norms import Objective
+from robusteig.norms import Objective, box_fits
 from robusteig.perturbation import (FEASIBILITY_TOL, PERTURBATION_SETS,
                                     InfeasiblePerturbationError)
 from robusteig.solvers import STOP_MAX_ITER, STOP_PHI_INCREASE, SolveReport
@@ -54,8 +54,8 @@ def web_graph(n, seed):
 
 
 def _g1_fill_loop(x, c):
-    """g1 value and dual z: the box value when sum(c) over the support is at
-    most 1, else the greedy fill of z by a loop from the largest |x_j| down.
+    """g1 value and dual z: the box value when box_fits(sum(c) over the
+    support), else the greedy fill of z by a loop from the largest |x_j| down.
 
     The loop reads the support in stable ascending order of |x_j| (ties by
     index) from its end, and fills entries until their c mass, summed one
@@ -68,7 +68,7 @@ def _g1_fill_loop(x, c):
     a = np.abs(x)
     z = np.zeros_like(a)
     support = a > 0
-    if float(np.sum(c[support])) <= 1.0:
+    if box_fits(float(np.sum(c[support]))):
         z[support] = np.sign(x[support]) * c[support]
         return float(np.sum(c[support] * a[support])), z
     idx = np.flatnonzero(support)
@@ -103,7 +103,7 @@ def _g2_scan_loop(x, c):
     support = a > 0
     if not support.any():
         return 0.0, z
-    if float(np.sum(c[support] ** 2)) <= 1.0:
+    if box_fits(float(np.sum(c[support] ** 2))):
         z[support] = np.sign(x[support]) * c[support]
         return float(np.sum(c[support] * a[support])), z
     bp = a / c
@@ -150,7 +150,7 @@ def _g2_prefix_scan_loop(x, c):
     support = a > 0
     if not support.any():
         return 0.0, z
-    if float(np.sum(c[support] ** 2)) <= 1.0:
+    if box_fits(float(np.sum(c[support] ** 2))):
         z[support] = np.sign(x[support]) * c[support]
         return float(np.sum(c[support] * a[support])), z
     a_s, c_s = a[support], c[support]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from robusteig import solvers
 from robusteig.cli import RANK_SOLVERS, main
 
 from conftest import SEVEN_NODE_EDGES, _stress_realized_dense
@@ -86,6 +87,26 @@ class TestRank:
         _, first = run_cli(capsys, *args)
         _, second = run_cli(capsys, *args)
         assert first == second
+
+    def test_robust_l1g1_on_the_periodic_grid_is_the_certified_nominal_vector(self, capsys):
+        code, out = run_cli(capsys, "rank", "--model", "model2", "--n", "20",
+                            "--solver", "robust-exact", "--pair", "l1g1",
+                            "--col-budget", "inv-degree", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["stop_reason"] == "nominal"
+        assert doc["objective"]["total"] == pytest.approx(1 / 39, rel=1e-6)
+        assert doc["phi_history"] == [[0, doc["objective"]["total"]]]
+
+    def test_robust_l1g1_on_seven_node_keeps_its_bytes(self, capsys, monkeypatch,
+                                                      seven_node_file):
+        # a reducible P: the nominal pre-check declines before any matvec
+        args = ("rank", "--input", seven_node_file, "--solver", "robust-exact",
+                "--pair", "l1g1", "--col-budget", "uniform:0.3", "--format", "json")
+        code, out = run_cli(capsys, *args)
+        assert code == 0 and json.loads(out)["stop_reason"] != "nominal"
+        monkeypatch.setattr(solvers, "_nominal_certificate", lambda *a: None)
+        assert run_cli(capsys, *args) == (code, out)
 
     def test_nominal_default_tol_ends_and_repeats_bytes(self, capsys):
         # the default --tol 1e-10 once meant 2e10 matvecs on this 900-node grid

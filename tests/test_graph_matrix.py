@@ -266,6 +266,42 @@ class TestValidate:
         assert validate(P, tol=1e-12).passed
 
 
+def reachable_everywhere(P) -> bool:
+    """Whether every node reaches every other in the graph of the dense
+    P > 0, by squaring the reachability matrix of I + P > 0."""
+    reach = (P.to_dense() > 0) | np.eye(P.n, dtype=bool)
+    for _ in range(max(1, P.n).bit_length()):
+        reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+    return bool(reach.all())
+
+
+class TestIsIrreducible:
+    def test_the_seven_node_graph_drains_into_a_cycle(self, seven_node):
+        assert not graph_matrix.is_irreducible(seven_node)
+
+    @pytest.mark.parametrize("edges, n, want", [
+        ([(0, 1), (1, 0)], 2, True),                     # one component
+        ([(0, 1)], 2, True),                             # closed class: dangling node 1
+        ([(0, 1), (0, 2)], 3, True),                     # two dangling closed classes
+        ([(0, 1), (1, 1)], 2, False),                    # an absorbing node
+        ([(0, 1), (1, 0), (2, 3), (3, 2)], 4, False),    # two closed classes
+        ([(0, 1), (1, 0), (2, 0)], 4, False),            # a closed class beside dangling 3
+        ([], 1, True),
+    ])
+    def test_small_graphs(self, edges, n, want):
+        assert graph_matrix.is_irreducible(from_edge_list(edge_list(edges, n))) is want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_matches_dense_reachability(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        edges = [(int(s), int(d)) for s, d in
+                 rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))]
+        P = from_edge_list(EdgeList(tuple(edges), n))
+        assert graph_matrix.is_irreducible(P) == reachable_everywhere(P)
+
+
 class TestResidual:
     def test_zero_at_the_dominant_eigenvector(self, seven_node):
         assert residual(seven_node, SEVEN_NODE_XBAR, "l1") == 0.0

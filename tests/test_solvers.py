@@ -14,8 +14,8 @@ from robusteig import (InputError, NormPair, SolverConfig,
 from robusteig import norms, solvers
 from robusteig.graph_matrix import out_degrees
 from robusteig.models import GridModelSpec, ModelVariant, model2_exact_scores
-from robusteig.solvers import (STOP_GAP, STOP_MAX_ITER, STOP_PHI_INCREASE,
-                               STOP_TOLERANCE, _entropic_step)
+from robusteig.solvers import (STOP_GAP, STOP_MAX_ITER, STOP_NOMINAL,
+                               STOP_PHI_INCREASE, STOP_TOLERANCE, _entropic_step)
 
 from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, _g2_scan_loop,
                       _regularized_power_method_two_matvecs,
@@ -457,8 +457,10 @@ class TestMirrorDescent:
         assert counts["matvec"] == counts["rmatvec"] == report.iterations_used + 2
 
     @pytest.mark.xfail(strict=True, reason="mirror descent stops above the l1g1 optimum "
-                       "(phi 0.299039 against the LP's 20/69 = 0.289855); an exact LP "
-                       "solve for l1g1 is ROADMAP item 2")
+                       "(phi 0.299039 against the LP's 20/69 = 0.289855).  This P is "
+                       "reducible and its eps 1 lies above its eps_c of 0.533, so the "
+                       "nominal pre-check declines; an exact LP solve for l1g1 is ROADMAP "
+                       "item 3")
     def test_l1g1_reaches_the_lp_optimum_on_seven_node(self, seven_node):
         spec = UncertaintySpec(1.0, NormPair.L1_G1, 0.3)
         report = mirror_descent_minimize(seven_node, spec, SolverConfig(max_iter=200))
@@ -671,8 +673,12 @@ class TestGapCertificate:
         monkeypatch.setattr(solvers, "Objective", RecordingObjective)
         config = SolverConfig(max_iter=max_iter, md_epochs=4, md_iters_per_epoch=100)
         report = mirror_descent_minimize(P, spec, config)
-        # the warm start's values, the two starting points and one per step
-        assert len(RecordingObjective.values) >= report.iterations_used + 2
+        if report.stop_reason == STOP_NOMINAL:
+            # l1g1 on an irreducible P below eps_c: the nominal vector's one value
+            assert len(RecordingObjective.values) == 1
+        else:
+            # the warm start's values, the two starting points and one per step
+            assert len(RecordingObjective.values) >= report.iterations_used + 2
         assert report.lower_bound <= min(RecordingObjective.values)
         assert all(report.lower_bound <= v for _, v in report.phi_history)
 
@@ -729,6 +735,143 @@ class TestGapCertificate:
     def test_other_solvers_leave_it_unset(self, seven_node):
         assert pagerank(seven_node).lower_bound is None
         assert regularized_power_method(seven_node, L2L2).lower_bound is None
+
+
+def _grid(variant, side):
+    return generate(GridModelSpec(side, ModelVariant.from_string(variant)))
+
+
+def _grid_weights(P, budgets):
+    """c_j of inv-degree budgets, or a uniform c_j."""
+    if budgets == "inv-degree":
+        return 1.0 / out_degrees(P).astype(float)
+    return np.full(P.n, budgets)
+
+
+def _poisson_series(P, spec, tol=1e-10):
+    """The nominal certificate's series as a loop: x = dominant_eigenvector,
+    the g1 dual z there, v and the terms made, for v <- v + (P^T v - v - rhs) / 2
+    from v = 0, rhs = g1(x) - z, centred by its mid-range after each term,
+    until ||P x - x||_1 + eps ||P^T v - v - rhs||_inf <= _GAP_TOL phi(x)."""
+    x = dominant_eigenvector(P, tol)
+    value, _ = norms.Objective(P, spec).evaluate(x)
+    pen, z = norms._g1_with_dual(x, spec.weights(P.n))
+    rhs = pen - z
+    v = np.zeros(P.n)
+    terms = 0
+    while (value.residual_term + spec.epsilon * np.abs(P.rmatvec(v) - v - rhs).max()
+           > solvers._GAP_TOL * value.total):
+        v = v + (P.rmatvec(v) - v - rhs) / 2
+        v -= (v.max() + v.min()) / 2
+        terms += 1
+    return x, z, v, terms
+
+
+def _eps_c(P, c, tol=1e-10):
+    """2 / (max v - min v) for the exact solution v of (P - I)^T v = g1(x) - z
+    at x = dominant_eigenvector(P, tol), with weights c and g1's dual z there:
+    the largest eps, with eps_j = eps c_j, at which u = eps v fits in the
+    unit l_inf ball once centred."""
+    x = dominant_eigenvector(P, tol)
+    pen, z = norms._g1_with_dual(x, c)
+    v = np.linalg.lstsq(P.to_dense().T - np.eye(P.n), pen - z, rcond=None)[0]
+    return 2.0 / (v.max() - v.min())
+
+
+# the small grids of the eps_c measurements: (variant, side, budgets)
+SMALL_GRIDS = [("model1", 8, "inv-degree"), ("model1", 8, 0.3),
+               ("model2", 6, "inv-degree"), ("model2", 6, 0.3)]
+
+
+class TestNominalCertificate:
+    """l1g1 on an irreducible P below eps_c: the dominant eigenvector, certified."""
+
+    def test_the_periodic_grid_gets_the_stationary_vector(self):
+        # the Model 2 grid of side 20 under inv-degree budgets, where the
+        # halving schedule stopped 19.6% above the LP optimum 1/39
+        P = _grid("model2", 20)
+        spec = UncertaintySpec(1.0, NormPair.L1_G1, _grid_weights(P, "inv-degree"))
+        report = mirror_descent_minimize(P, spec)
+        total = report.objective.total
+        assert report.stop_reason == STOP_NOMINAL
+        assert abs(total - 1 / 39) <= 1e-6 / 39
+        assert report.lower_bound <= 1 / 39 <= total
+        assert total - report.lower_bound <= solvers._GAP_TOL * total
+        assert report.phi_history == [(0, total)]
+        assert np.abs(report.final - model2_exact_scores(20)).sum() <= 1e-6
+
+    @pytest.mark.parametrize("variant, side, budgets", SMALL_GRIDS)
+    def test_certifies_below_eps_c_and_declines_above(self, variant, side, budgets):
+        # weights c fixed as eps moves, so that eps_c is one number; a decline
+        # costs the series' rmatvecs and no more, a certificate one more for D
+        c = _grid_weights(_grid(variant, side), budgets)
+        eps_c = _eps_c(_grid(variant, side), c)
+        config = SolverConfig(md_epochs=1, md_iters_per_epoch=5)
+        for factor, certified in ((0.5, True), (0.9, True), (1.1, False), (2.0, False)):
+            eps = factor * eps_c
+            spec = UncertaintySpec(eps, NormPair.L1_G1, eps * c)
+            x, z, v, terms = _poisson_series(_grid(variant, side), spec)
+            P, counts = _counted(_grid(variant, side))
+            report = mirror_descent_minimize(P, spec, config, x0=uniform_vector(P.n))
+            if not certified:
+                assert report.stop_reason != STOP_NOMINAL
+                assert counts["rmatvec"] == terms + report.iterations_used + 2
+                continue
+            assert report.stop_reason == STOP_NOMINAL
+            assert (report.iterations_used, counts["rmatvec"]) == (terms, terms + 1)
+            assert report.final.tobytes() == x.tobytes()
+            u = eps * v
+            assert np.abs(u).max() <= 1.0
+            assert report.lower_bound == float((P.rmatvec(u) - u + eps * z).min())
+            total = report.objective.total
+            assert total == phi_value(P, x, spec)
+            assert total - report.lower_bound <= solvers._GAP_TOL * total
+
+    def test_a_linear_penalty_is_certified_at_every_eps(self):
+        # the default eps/n budgets make g1 sum_j x_j / n: z = c and rhs = 0
+        # up to rounding, so eps_c is infinite
+        for eps in (0.01, 1.0, 100.0):
+            spec = UncertaintySpec(eps, NormPair.L1_G1)
+            report = mirror_descent_minimize(_grid("model2", 6), spec)
+            assert report.stop_reason == STOP_NOMINAL
+            assert report.objective.total - report.lower_bound <= \
+                solvers._GAP_TOL * report.objective.total
+
+    def test_a_reducible_matrix_declines_with_no_extra_work(self, monkeypatch):
+        # the 7-node graph drains into the 2-cycle {5, 6}
+        spec = UncertaintySpec(1.0, NormPair.L1_G1, 0.3)
+        config = SolverConfig(max_iter=200, md_epochs=3, md_iters_per_epoch=20)
+        P, counts = _counted_seven_node()
+        report = mirror_descent_minimize(P, spec, config)
+        monkeypatch.setattr(solvers, "_nominal_certificate", lambda *args: None)
+        P, want_counts = _counted_seven_node()
+        want = mirror_descent_minimize(P, spec, config)
+        assert report.stop_reason == STOP_MAX_ITER
+        assert counts == want_counts
+        assert _report_bits(report) == _report_bits(want)
+        assert report.lower_bound == want.lower_bound
+
+    @pytest.mark.parametrize("pair", [NormPair.L2_L2, NormPair.L2_G2])
+    def test_the_l2_pairs_never_take_it(self, monkeypatch, pair):
+        def refuse(*args):
+            raise AssertionError("the nominal pre-check ran on an l2 pair")
+
+        monkeypatch.setattr(solvers, "_nominal_certificate", refuse)
+        monkeypatch.setattr(solvers, "is_irreducible", refuse)
+        # at eps 0.1, below the l2 pairs' eps_c on this grid
+        config = SolverConfig(md_epochs=1, md_iters_per_epoch=20)
+        report = mirror_descent_minimize(_grid("model2", 6), UncertaintySpec(0.1, pair, 0.03),
+                                         config)
+        assert report.stop_reason in (STOP_GAP, STOP_MAX_ITER)
+
+    def test_a_series_past_its_budget_declines(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_POISSON_TERMS", 50)
+        P, counts = _counted(_grid("model2", 20))
+        spec = UncertaintySpec(1.0, NormPair.L1_G1, _grid_weights(P, "inv-degree"))
+        config = SolverConfig(md_epochs=1, md_iters_per_epoch=5)
+        report = mirror_descent_minimize(P, spec, config, x0=uniform_vector(P.n))
+        assert (report.stop_reason, report.iterations_used) == (STOP_MAX_ITER, 5)
+        assert counts["rmatvec"] == 50 + 5 + 2
 
 
 class TestGridOracle:
