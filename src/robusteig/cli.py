@@ -301,6 +301,10 @@ def main(argv=None) -> int:
     out = sys.stdout
     try:
         _solver_config(args)
+        if args.top_k is not None and args.top_k < 1:
+            raise _ConfigError(f"--top-k must be >= 1, got {args.top_k}")
+        if args.command == "stress" and args.samples < 1:
+            raise _ConfigError(f"--samples must be >= 1, got {args.samples}")
         if args.command == "rank":
             return cmd_rank(args, out)
         if args.command == "compare":

@@ -7,14 +7,13 @@ is stored implicitly (a set of column indices plus the 1/n value) so large
 graphs stay sparse.
 
 Edges travel from the text format to the matrix as two int64 arrays, sources
-and destinations, with no Python object per edge.  Parsing is O(m) array
-work: canonical text, which is what `edge_list_text` writes, is checked by
-uint8 and bool operations over its bytes and read by one C-level integer
-parse, with no Python object per line; any other text is read as one
-StringDType array of its lines.  Building is O(m) array work plus one sort of
-the m keys `s * n + d` (the `np.unique` of the keys), which collapses
-duplicate edges.  `EdgeList.edges`, the tuple of (source, destination) pairs,
-is built only when it is read.
+and destinations.  Canonical text, which is what `edge_list_text` writes, is
+parsed by O(m) array work: uint8 and bool operations over its bytes and one
+C-level integer parse, with no Python object per line or edge.  Any other
+text is read one line at a time by str methods and int().  Building is O(m)
+array work plus one sort of the m keys `s * n + d` (the `np.unique` of the
+keys), which collapses duplicate edges.  `EdgeList.edges`, the tuple of
+(source, destination) pairs, is built only when it is read.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.dtypes import StringDType
 from scipy import sparse
 from scipy.sparse import csgraph
 
@@ -340,24 +338,18 @@ _LINE_KIND[list(b"\n#nd")] = _BLANK, _COMMENT, _HEADER, _DIRECTIVE
 _IDS_PER_LINE = np.array([0, 0, 0, 1, 1, 2])          # by line kind
 _PREFIXES = ((_HEADER, b"n="), (_DIRECTIVE, b"dangling:"))
 
-# the characters str.split() splits a line at: tab and space first, then the
-# non-ASCII whitespace (none lies above U+3000); the other ASCII whitespace
-# breaks lines, except \x1f, which int() does not strip, so that edge lines
-# have it replaced by a space first
-_SPACES = "\t " + "".join(c for c in map(chr, range(0x80, 0x3001)) if c.isspace())
-
 
 def parse_edge_list(text: str) -> EdgeList:
-    """Parse the text format into an EdgeList by array operations.
+    """Parse the text format into an EdgeList.
 
     Canonical text is read on its bytes: its lines are classified and checked
     by uint8 and bool array operations, and its ids are read by one
     np.fromstring call, with no Python object per line.  Any other text goes
-    to the general parser, which reads the stripped lines as strings and
-    takes ids in every form that int() takes; so does canonical text that
-    declares no node or an id outside [0, n), so that the general parser
-    words every error.  Both parsers give the same EdgeList for canonical
-    text.
+    to the general parser, a loop that strips one line at a time, with no
+    array of the lines, and takes ids in every form that int() takes and
+    int64 holds; so does canonical text that declares no node or an id
+    outside [0, n), so that the general parser words every error.  Both
+    parsers give the same EdgeList for canonical text.
 
     A malformed line, an id outside [0, n) or a node count below 1 raises
     InputError; a line's error names its line number, and of several bad
@@ -438,36 +430,32 @@ def _canonical_ids(text: str) -> tuple[np.ndarray, np.ndarray] | tuple[None, Non
 
 
 def _parse_general(text: str) -> EdgeList:
-    """parse_edge_list for any text, on its stripped lines as StringDType strings."""
-    lines = text.splitlines()
+    """parse_edge_list for any text, read one stripped line at a time."""
     try:
-        lines = np.strings.strip(np.array(lines, dtype=StringDType()))
-    except UnicodeEncodeError:
-        raise InputError(f"line {_first_failure(str.encode, lines) + 1}: "
-                         "not encodable as UTF-8") from None
-    header = np.strings.startswith(lines, "n=")
-    directive = np.strings.startswith(lines, "dangling:")
-    edge = ~(header | directive | (lines == "") | np.strings.startswith(lines, "#"))
-    # (gathered by mask: numpy copies StringDType elements ten times faster
-    # by a mask than by an index array)
-    counts, bad_count = _ids(np.strings.slice(lines[header], 2, None))
-    nodes, bad_node = _ids(np.strings.slice(lines[directive], 9, None))
-    body = lines[edge]
-    if "\x1f" in text:
-        body = np.strings.replace(body, "\x1f", " ")
-    heads, tails = _split_at_whitespace(body)
-    src, bad_src = _ids(heads)
-    dst, bad_dst = _ids(tails)
-    header_at, node_at, edge_at = map(np.flatnonzero, (header, directive, edge))
-    malformed = [at[k] for at, k in ((header_at, bad_count), (node_at, bad_node),
-                                     (edge_at, bad_src), (edge_at, bad_dst)) if k is not None]
-    if malformed:
-        k = min(malformed)
-        raise InputError(_malformed(k + 1, str(lines[k])))
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # the lines before the bad character, and its own, begun after them
+        line = len((text[:exc.start] + "\0").splitlines())
+        raise InputError(f"line {line}: not encodable as UTF-8") from None
+    n, edges, nodes = None, [], []          # (line, src, dst) and (line, id) runs
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        try:
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("n="):
+                n = _int64(line[2:])
+            elif line.startswith("dangling:"):
+                nodes += lineno, _int64(line[9:])
+            else:
+                head, tail = line.split()
+                edges += lineno, _int64(head), _int64(tail)
+        except (ValueError, OverflowError):
+            raise InputError(_malformed(lineno, line)) from None
 
-    if counts.size:
-        n = int(counts[-1])
-    else:
+    edge_at, src, dst = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    node_at, nodes = np.array(nodes, dtype=np.int64).reshape(-1, 2).T
+    if n is None:
         n = 1 + max(int(a.max(initial=-1)) for a in (src, dst, nodes))
     if n < 1:
         raise InputError("edge list declares no nodes")
@@ -477,45 +465,16 @@ def _parse_general(text: str) -> EdgeList:
                   for k in np.flatnonzero(_outside(nodes, n))[:1]])
     if outside:
         at, what = min(outside)
-        raise InputError(f"line {at + 1}: {what} out of range for n={n}")
+        raise InputError(f"line {at}: {what} out of range for n={n}")
     return EdgeList.from_arrays(src, dst, n)
 
 
-def _split_at_whitespace(lines):
-    """(head, tail) of each line cut at one whitespace character; a line
-    without whitespace gets an empty tail.
-
-    int() strips the whitespace left at either cut end, so a line of two ids
-    gives both, and a line of one, three or more words gives a head or tail
-    that int() rejects.
-    """
-    head, sep, tail = np.strings.partition(lines, np.array(_SPACES[0], dtype=lines.dtype))
-    for space in _SPACES[1:]:
-        uncut = sep == ""
-        if not uncut.any():
-            break
-        head[uncut], sep[uncut], tail[uncut] = np.strings.partition(
-            lines[uncut], np.array(space, dtype=lines.dtype))
-    return head, tail
-
-
-def _ids(strings) -> tuple[np.ndarray | None, int | None]:
-    """The int64 values of the strings as int() reads them and None, or None
-    and the index of the first string that int() rejects or int64 cannot hold."""
-    try:
-        return strings.astype(np.int64), None
-    except (ValueError, OverflowError):
-        return None, _first_failure(lambda s: np.int64(int(s)), strings.tolist())
-
-
-def _first_failure(convert, items) -> int:
-    """Index of the first item on which convert raises ValueError or OverflowError."""
-    for k, item in enumerate(items):
-        try:
-            convert(item)
-        except (ValueError, OverflowError):
-            return k
-    raise AssertionError("every item converts")
+def _int64(word: str) -> int:
+    """The id int() reads in word; OverflowError if int64 cannot hold it."""
+    value = int(word)
+    if not -2**63 <= value < 2**63:
+        raise OverflowError(word)
+    return value
 
 
 def _malformed(lineno: int, line: str) -> str:

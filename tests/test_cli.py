@@ -334,6 +334,17 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err == f"robusteig: error: {message}\n"
 
+    @pytest.mark.parametrize("command, flag", [("rank", "--top-k"), ("compare", "--top-k"),
+                                               ("stress", "--samples")])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_count_below_one_is_a_config_error(self, capsys, seven_node_file, command, flag,
+                                               value):
+        code = main([command, "--input", seven_node_file, flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"robusteig: error: {flag} must be >= 1, got {value}\n"
+
     def test_unknown_flag_exits_one(self, capsys, seven_node_file):
         with pytest.raises(SystemExit) as exc:
             main(["rank", "--input", seven_node_file, "--frobnicate"])

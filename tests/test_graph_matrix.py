@@ -352,6 +352,10 @@ class TestEdgeListText:
         ("n=5\n# a comment after the header\n0\t4\n", ((0, 4),), 5),
         ("\n   \n#\n0\t1", ((0, 1),), 2),
         ("0\u3000\x1f1\n", ((0, 1),), 2),
+        ("\u0663\t1\n", ((3, 1),), 4),
+        ("\uff11\t0\n", ((1, 0),), 2),
+        ("0\xa01\n", ((0, 1),), 2),
+        ("0\u20091\n", ((0, 1),), 2),
     ])
     def test_accepted_forms(self, text, edges, n):
         el = parse_edge_list(text)
@@ -360,7 +364,7 @@ class TestEdgeListText:
 
     def test_bad_lines_rejected(self):
         for line in ("0", "a\tb", "n=x", "dangling:z", "0\t1\t2", "1\t2.0", "0\t99999999999999999999",
-                     "0\t\ud800"):
+                     "0\t\ud800", "0\t1\x00"):
             with pytest.raises(InputError, match="^line 1: "):
                 parse_edge_list(line + "\n")
             # the first bad line is named, CRLF counting as one line break
@@ -475,18 +479,16 @@ class TestCanonicalParse:
             save_edge_list(path, edges)
             assert load_edge_list(path) == edges
 
-    def test_peak_memory_no_higher_than_the_general_parser(self):
+    def test_peak_memory_at_most_five_bytes_per_character(self):
         text = edge_list_text(_random_edges(25_000, 100_000, 6))
-        peaks = []
-        for parse in (_parse_general, parse_edge_list):
-            tracemalloc.start()
-            try:
-                edges = parse(text)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert edges.n == 25_000
-        assert peaks[1] <= peaks[0]
+        tracemalloc.start()
+        try:
+            edges = parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edges.n == 25_000
+        assert peak <= 5 * len(text)
 
     def test_undecodable_file_names_its_line(self, tmp_path):
         path = tmp_path / "g.tsv"
