@@ -130,14 +130,22 @@ def worst_case_rank1(P: SparseStochasticMatrix, x: np.ndarray, eps: float) -> Ra
     return Rank1Perturbation(scale=float(eps), left=left, right=x / nx)
 
 
+def _check_sample_count(n_samples: int) -> None:
+    # no samples would make "every sample within the bound" hold vacuously
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+
+
 def check_perturbation_bound(a: np.ndarray, b: np.ndarray, eps: float,
                              n_samples: int = 1000, rng_seed: int = 0) -> PerturbationBoundReport:
     """Verify max over ||xi||_F <= eps of ||a + xi b||_2 = ||a||_2 + eps ||b||_2.
 
     Samples random Frobenius-ball perturbations (none may exceed the bound)
     and constructs the attaining rank-1 xi* = eps a b^T / (||a|| ||b||),
-    falling back to a fixed unit direction when a = 0.
+    falling back to a fixed unit direction when a = 0.  n_samples below 1
+    raises ValueError.
     """
+    _check_sample_count(n_samples)
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     a = np.asarray(a, dtype=float)
@@ -288,7 +296,9 @@ def sampled_residuals(P: SparseStochasticMatrix, x: np.ndarray, spec: Uncertaint
     The norm is l1 for xi1 and l2 otherwise.  Returns the per-sample values
     and whether no sample reported itself infeasible.  Each sample is dropped
     before the next is drawn, so one xi is alive at a time beside dense P.
+    n_samples below 1 raises ValueError before any work.
     """
+    _check_sample_count(n_samples)
     x = np.asarray(x, dtype=float)
     ord_ = 1 if set_name == "xi1" else 2
     dense = P.to_dense()
@@ -316,8 +326,9 @@ def empirical_phi_lower_bound(P: SparseStochasticMatrix, x: np.ndarray,
     include_rank1 the attaining rank-1 perturbation joins the pool, which
     closes the gap exactly for the unconstrained Frobenius ball xif_ball; the
     other sets do not hold it (it breaks nonnegativity or the column budgets),
-    so for them include_rank1 raises ValueError.
+    so for them include_rank1 raises ValueError, as does n_samples below 1.
     """
+    _check_sample_count(n_samples)
     expected_pair = _SET_PAIR[set_name]
     if spec.pair is not expected_pair:
         raise ValueError(f"set {set_name!r} pairs with {expected_pair.value}, "

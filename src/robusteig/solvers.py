@@ -9,7 +9,10 @@ On l1g1 the minimizer first tries an exact certificate: on an irreducible
 P, the dominant eigenvector is the robust optimum for every eps up to a
 threshold eps_c, and a dual pair read off the chain's Poisson equation
 (Kemeny & Snell, Finite Markov Chains, 1960) proves it; see
-_nominal_certificate.
+_nominal_certificate.  Where that declines, l1g1 is a linear program, which
+scipy's HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) solves exactly up to
+_LP_MAX_N nodes, certified by the same kind of dual pair; see _l1g1_lp.  The
+halving schedule runs only past both.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ STOP_MAX_ITER = "max_iter"
 STOP_TOLERANCE = "tolerance"
 STOP_GAP = "gap"
 STOP_NOMINAL = "nominal"
+STOP_LP = "lp"
 
 # default pair used whenever a solver needs an objective but the caller gave
 # no uncertainty model: both norms Euclidean, unit budget
@@ -49,6 +53,14 @@ _GAP_TOL = 1e-3
 # Measured under inv-degree budgets, the periodic Model 2 grids of side 10,
 # 20 and 30 take 553, 2341 and 5360 terms, a 1e5-node web graph 37
 _POISSON_TERMS = 10_000
+
+# where that certificate declines, l1g1 is solved as an LP up to this n.
+# Measured on reducible web graphs (graph seed 14, inv-degree budgets, eps 1,
+# the certificate bypassed; single unscaled runs, 2 cores), LP against the
+# 9000-evaluation descent: n = 2000, 0.5 s against 1.2 s, which stops 1.6%
+# above the optimum; n = 5000, 2.1 s against 2.5 s, both at the optimum;
+# n = 10 000, 18 s against 5.1 s, which stops 4.4e-4 above it
+_LP_MAX_N = 5000
 
 # its line search on the l2 pairs accepts a step when phi is at most the
 # largest of the last _LINE_SEARCH_MEMORY accepted values plus
@@ -85,7 +97,10 @@ class SolveReport:
     stop_reason nominal is mirror descent's on l1g1 when it returns the
     certified dominant eigenvector and runs no descent: phi_history then
     holds its one value, and iterations_used counts the terms of the
-    certificate's Poisson series, one rmatvec each.
+    certificate's Poisson series, one rmatvec each.  stop_reason lp is its
+    reason on l1g1 when it returns the certified solution of the exact LP
+    and runs no descent: phi_history holds its one value, and
+    iterations_used counts HiGHS's iterations.
     """
 
     final: np.ndarray
@@ -443,6 +458,65 @@ def _nominal_certificate(P: SparseStochasticMatrix, objective: Objective,
     return SolveReport(x, [(0, value.total)], terms, STOP_NOMINAL, value, lower)
 
 
+def _l1g1_lp(P: SparseStochasticMatrix, objective: Objective) -> SolveReport | None:
+    """l1g1's robust optimum from an exact linear program, certified, or None.
+
+    On the simplex g1(x) = min_{t >= 0} t + sum_j c_j (x_j - t)_+, so min phi
+    is the LP over x, r+, r-, s >= 0, t >= 0 and m = d.x (d the dangling
+    mask, so that the uniform columns add one variable, not dense columns)
+    of sum(r+ + r-) + eps (c.s + t) subject to
+    (P - I) x + (m/n) 1 - r+ + r- = 0, sum x = 1, d.x - m = 0 and
+    x - s - t 1 <= 0.  HiGHS's interior point method solves it without
+    presolve: on a 2000-node web graph, dual simplex with presolve was as
+    fast but left about 10 MB more heap resident after the call.
+
+    x is projected onto the simplex (clipped at 0, renormalized) and phi
+    evaluated there by Objective.  The certificate is read off HiGHS's
+    marginals: u, the negated marginals of the residual rows, clipped to the
+    unit l_inf ball, and z, the negated marginals of the g1 rows over eps,
+    clipped to [0, c] and scaled to sum_j z_j <= 1, g1's dual set.  By the
+    weak duality of _nominal_certificate, D = min_j ((P - I)^T u + eps z)_j
+    bounds min phi from below, for one rmatvec.  Declines (None) unless
+    HiGHS reports an optimum and phi - D <= _GAP_TOL phi; otherwise x is
+    returned with reason lp, lower_bound D and iterations_used HiGHS's.
+    """
+    from scipy import optimize, sparse        # about 0.15 s to import: only when used
+
+    n, eps, c = P.n, objective.spec.epsilon, objective._weights
+    eye = sparse.eye_array(n, format="csc")
+    col = np.ones((n, 1))
+    d = np.zeros((1, n))
+    d[0, P._dangling_index] = 1.0
+    A_eq = sparse.block_array([
+        #  x               r+    r-   s                         t        m
+        [P._links - eye,   -eye, eye, sparse.csc_array((n, n)), 0 * col, col / n],
+        [col.T,            None, None, None,                    None,    [[0.0]]],
+        [d,                None, None, None,                    None,    [[-1.0]]],
+    ], format="csc")
+    A_ub = sparse.block_array([[eye, sparse.csc_array((n, 2 * n)), -eye, -col, 0 * col]],
+                              format="csc")
+    cost = np.concatenate((np.zeros(n), np.ones(2 * n), eps * c, [eps, 0.0]))
+    b_eq = np.zeros(n + 2)
+    b_eq[n] = 1.0
+    res = optimize.linprog(cost, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
+                           bounds=(0, None), method="highs-ipm", options={"presolve": False})
+    if res.status != 0:
+        return None
+    x = np.clip(res.x[:n], 0.0, None)
+    x /= x.sum()
+    value, _ = objective.evaluate(x)
+    u = np.clip(-res.eqlin.marginals[:n], -1.0, 1.0)
+    z = np.clip(-res.ineqlin.marginals / eps, 0.0, c)
+    z /= max(1.0, float(z.sum()))
+    h = P.rmatvec(u)
+    h -= u
+    h += eps * z
+    lower = float(h.min())
+    if value.total - lower > _GAP_TOL * value.total:
+        return None
+    return SolveReport(x, [(0, value.total)], res.nit, STOP_LP, value, lower)
+
+
 def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
                             config: SolverConfig | None = None,
                             x0: np.ndarray | None = None) -> SolveReport:
@@ -468,7 +542,8 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
     otherwise eta halves and the step is tried again, and the rejected trial
     counts against the budget like any other evaluation.  No step lets
     eta (max g - g_j) pass 2.  l1g1, a linear program and nonsmooth
-    everywhere, keeps a fixed schedule: md_epochs epochs of
+    everywhere, is solved exactly where it can be (below); past that it
+    keeps a fixed schedule: md_epochs epochs of
     md_iters_per_epoch steps of gamma / ||g||_inf, gamma 1 halved after each
     epoch, each epoch restarting from the best point.
 
@@ -493,13 +568,18 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
     vector is returned with reason nominal, its certificate's bound as
     lower_bound, and no warm start or descent.  Otherwise it declines: with
     no matvec or rmatvec on a reducible P, else after at most
-    _POISSON_TERMS + 1 rmatvecs and the nominal solve; the descent then
-    runs as it would without it.
+    _POISSON_TERMS + 1 rmatvecs and the nominal solve.  Then, where
+    P.n <= _LP_MAX_N, _l1g1_lp solves the LP exactly and returns its
+    solution with reason lp, its certificate's bound as lower_bound and
+    HiGHS's iterations as iterations_used, again with no warm start or
+    descent.  Where both decline, the descent runs as it would without them.
     """
     config = config or SolverConfig()
     objective = Objective(P, spec)
     if spec.pair is NormPair.L1_G1:
         report = _nominal_certificate(P, objective, config.tol)
+        if report is None and P.n <= _LP_MAX_N:
+            report = _l1g1_lp(P, objective)
         if report is not None:
             return report
     if x0 is None:

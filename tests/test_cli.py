@@ -108,6 +108,16 @@ class TestRank:
         monkeypatch.setattr(solvers, "_nominal_certificate", lambda *a: None)
         assert run_cli(capsys, *args) == (code, out)
 
+    def test_robust_l1g1_on_seven_node_is_the_lp_optimum(self, capsys, seven_node_file):
+        args = ("rank", "--input", seven_node_file, "--solver", "robust-exact",
+                "--pair", "l1g1", "--col-budget", "uniform:0.3", "--format", "json")
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["stop_reason"] == "lp"
+        assert doc["objective"]["total"] == pytest.approx(20 / 69, abs=1e-9)
+        assert run_cli(capsys, *args) == (code, out)
+
     def test_nominal_default_tol_ends_and_repeats_bytes(self, capsys):
         # the default --tol 1e-10 once meant 2e10 matvecs on this 900-node grid
         args = ("rank", "--model", "model1", "--n", "30", "--solver", "nominal")

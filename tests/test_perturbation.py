@@ -11,7 +11,7 @@ from robusteig import (InfeasiblePerturbationError, NormPair,
                        validate, worst_case_rank1)
 from robusteig.graph_matrix import out_degrees
 from robusteig.models import GridModelSpec, ModelVariant
-from robusteig.perturbation import PERTURBATION_SETS, pair_for_set
+from robusteig.perturbation import PERTURBATION_SETS, pair_for_set, sampled_residuals
 
 from conftest import (SEVEN_NODE_EDGES, _sample_perturbation_dense,
                       random_stochastic_dense, web_graph)
@@ -84,6 +84,11 @@ class TestPerturbationBound:
                                           eps=2.0, n_samples=100, rng_seed=1)
         assert report.bound == pytest.approx(2.0)
         assert report.equality_gap <= 1e-10
+
+    @pytest.mark.parametrize("n_samples", [0, -2])
+    def test_no_samples_rejected(self, n_samples):
+        with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n_samples}$"):
+            check_perturbation_bound(np.ones(3), np.ones(3), eps=0.5, n_samples=n_samples)
 
     def test_sampled_values_never_exceed_the_bound(self):
         rng = np.random.default_rng(2)
@@ -273,6 +278,18 @@ class TestEmpiricalLowerBound:
         else:
             with pytest.raises(ValueError, match=f"outside set {set_name!r}$"):
                 call()
+
+    @pytest.mark.parametrize("n_samples", [0, -2])
+    @pytest.mark.parametrize("sampler", [sampled_residuals, empirical_phi_lower_bound])
+    def test_no_samples_rejected_before_dense_p(self, seven_node, monkeypatch, sampler,
+                                                n_samples):
+        # with no samples "every sample feasible" would hold vacuously
+        calls = []
+        monkeypatch.setattr(seven_node, "to_dense", lambda: calls.append(1))
+        with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n_samples}$"):
+            sampler(seven_node, uniform_vector(7), UncertaintySpec(1.0, NormPair.L2_L2),
+                    "xif", n_samples=n_samples)
+        assert calls == []
 
     def test_mismatched_pair_rejected(self, seven_node):
         spec = UncertaintySpec(1.0, NormPair.L2_L2)

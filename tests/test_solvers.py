@@ -14,7 +14,7 @@ from robusteig import (InputError, NormPair, SolverConfig,
 from robusteig import norms, solvers
 from robusteig.graph_matrix import out_degrees
 from robusteig.models import GridModelSpec, ModelVariant, model2_exact_scores
-from robusteig.solvers import (STOP_GAP, STOP_MAX_ITER, STOP_NOMINAL,
+from robusteig.solvers import (STOP_GAP, STOP_LP, STOP_MAX_ITER, STOP_NOMINAL,
                                STOP_PHI_INCREASE, STOP_TOLERANCE, _entropic_step)
 
 from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, _g2_scan_loop,
@@ -443,9 +443,10 @@ class TestMirrorDescent:
         assert np.abs(a.final - b.final).max() <= 1e-6
 
     @pytest.mark.parametrize("pair", list(NormPair))
-    def test_one_matvec_and_one_rmatvec_per_step(self, pair):
-        # l1g1 runs its schedule of 3 x 20 steps; the l2 pairs stop on the gap
-        # within that budget.  Setup: x0 and the uniform point
+    def test_one_matvec_and_one_rmatvec_per_step(self, monkeypatch, pair):
+        # l1g1, kept from its LP, runs its schedule of 3 x 20 steps; the l2
+        # pairs stop on the gap within that budget.  Setup: x0 and the uniform point
+        monkeypatch.setattr(solvers, "_LP_MAX_N", 0)
         P, counts = _counted_seven_node()
         spec = UncertaintySpec(1.0, pair, column_budgets=0.5)
         config = SolverConfig(md_epochs=3, md_iters_per_epoch=20)
@@ -456,14 +457,13 @@ class TestMirrorDescent:
             assert report.stop_reason == STOP_GAP and report.iterations_used < 60
         assert counts["matvec"] == counts["rmatvec"] == report.iterations_used + 2
 
-    @pytest.mark.xfail(strict=True, reason="mirror descent stops above the l1g1 optimum "
-                       "(phi 0.299039 against the LP's 20/69 = 0.289855).  This P is "
-                       "reducible and its eps 1 lies above its eps_c of 0.533, so the "
-                       "nominal pre-check declines; an exact LP solve for l1g1 is ROADMAP "
-                       "item 3")
     def test_l1g1_reaches_the_lp_optimum_on_seven_node(self, seven_node):
+        # this P is reducible and its eps 1 lies above its eps_c of 0.533, so
+        # the nominal pre-check declines and the LP solves it (the halving
+        # schedule stopped at 0.299039)
         spec = UncertaintySpec(1.0, NormPair.L1_G1, 0.3)
         report = mirror_descent_minimize(seven_node, spec, SolverConfig(max_iter=200))
+        assert report.stop_reason == STOP_LP
         assert report.objective.total <= 20 / 69 * (1 + 1e-6)
 
     def test_l2g2_trajectory_matches_the_loop_scan(self, monkeypatch):
@@ -484,6 +484,7 @@ class TestMirrorDescent:
         # l1g1's schedule: each step against one scaled by np.abs(g).max(),
         # the epoch's gamma taken from the count of steps so far; in each case
         # some steps have -min g > max g and others the reverse
+        monkeypatch.setattr(solvers, "_LP_MAX_N", 0)
         P = from_edge_list(edge_list(SEVEN_NODE_EDGES, 7))
         spec = UncertaintySpec(eps, NormPair.L1_G1, 0.3)
         config = SolverConfig(md_epochs=3, md_iters_per_epoch=60)
@@ -669,6 +670,7 @@ class TestGapCertificate:
     def test_below_phi_of_every_iterate(self, monkeypatch, case, pair):
         build, _ = ALGORITHM1_CASES[case]
         P, spec, max_iter = build(pair)
+        monkeypatch.setattr(solvers, "_LP_MAX_N", 0)             # the descent's iterates
         monkeypatch.setattr(RecordingObjective, "values", [])
         monkeypatch.setattr(solvers, "Objective", RecordingObjective)
         config = SolverConfig(max_iter=max_iter, md_epochs=4, md_iters_per_epoch=100)
@@ -801,9 +803,12 @@ class TestNominalCertificate:
         assert np.abs(report.final - model2_exact_scores(20)).sum() <= 1e-6
 
     @pytest.mark.parametrize("variant, side, budgets", SMALL_GRIDS)
-    def test_certifies_below_eps_c_and_declines_above(self, variant, side, budgets):
+    def test_certifies_below_eps_c_and_declines_above(self, monkeypatch, variant, side,
+                                                      budgets):
         # weights c fixed as eps moves, so that eps_c is one number; a decline
-        # costs the series' rmatvecs and no more, a certificate one more for D
+        # costs the series' rmatvecs and no more, a certificate one more for D.
+        # A decline goes on to the descent, not to the LP
+        monkeypatch.setattr(solvers, "_LP_MAX_N", 0)
         c = _grid_weights(_grid(variant, side), budgets)
         eps_c = _eps_c(_grid(variant, side), c)
         config = SolverConfig(md_epochs=1, md_iters_per_epoch=5)
@@ -838,7 +843,8 @@ class TestNominalCertificate:
                 solvers._GAP_TOL * report.objective.total
 
     def test_a_reducible_matrix_declines_with_no_extra_work(self, monkeypatch):
-        # the 7-node graph drains into the 2-cycle {5, 6}
+        # the 7-node graph drains into the 2-cycle {5, 6}; the descent, not the LP
+        monkeypatch.setattr(solvers, "_LP_MAX_N", 0)
         spec = UncertaintySpec(1.0, NormPair.L1_G1, 0.3)
         config = SolverConfig(max_iter=200, md_epochs=3, md_iters_per_epoch=20)
         P, counts = _counted_seven_node()
@@ -866,12 +872,157 @@ class TestNominalCertificate:
 
     def test_a_series_past_its_budget_declines(self, monkeypatch):
         monkeypatch.setattr(solvers, "_POISSON_TERMS", 50)
+        monkeypatch.setattr(solvers, "_LP_MAX_N", 0)               # the descent follows
         P, counts = _counted(_grid("model2", 20))
         spec = UncertaintySpec(1.0, NormPair.L1_G1, _grid_weights(P, "inv-degree"))
         config = SolverConfig(md_epochs=1, md_iters_per_epoch=5)
         report = mirror_descent_minimize(P, spec, config, x0=uniform_vector(P.n))
         assert (report.stop_reason, report.iterations_used) == (STOP_MAX_ITER, 5)
         assert counts["rmatvec"] == 50 + 5 + 2
+
+
+def _recorded_linprog(monkeypatch, returned=None):
+    """The results of scipy's linprog as the LP route calls it, or, with
+    returned, what it returns instead: returned(res) of each real result."""
+    from scipy import optimize
+    results = []
+    real = optimize.linprog
+
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return returned(results[-1]) if returned else results[-1]
+
+    monkeypatch.setattr(optimize, "linprog", recorded)
+    return results
+
+
+def _web_above_eps_c():
+    """web_graph(300, 5) at eps 10 under inv-degree budgets, where the
+    nominal certificate declines."""
+    P = web_graph(300, 5)
+    return P, UncertaintySpec(10.0, NormPair.L1_G1, 1.0 / out_degrees(P).astype(float))
+
+
+class TestL1g1LP:
+    """l1g1 where the nominal certificate declines: an exact LP, certified."""
+
+    def test_seven_node_reaches_20_over_69(self, seven_node):
+        spec = UncertaintySpec(1.0, NormPair.L1_G1, 0.3)
+        report = mirror_descent_minimize(seven_node, spec, SolverConfig(max_iter=200))
+        total = report.objective.total
+        assert report.stop_reason == STOP_LP
+        assert abs(total - 20 / 69) <= 1e-9
+        assert total == phi_value(seven_node, report.final, spec)
+        assert report.lower_bound <= total
+        assert total - report.lower_bound <= solvers._GAP_TOL * total
+        assert report.phi_history == [(0, total)]
+        assert report.final.min() >= 0.0 and abs(report.final.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["seven-node", "web-300"])
+    def test_the_certificate_is_dual_feasible(self, monkeypatch, seven_node, case):
+        # the marginals HiGHS returns lie in the dual sets up to its
+        # tolerances, and the clipped (u, z) bound phi below at every vertex
+        # and at random points of the simplex
+        if case == "seven-node":
+            P, spec = seven_node, UncertaintySpec(1.0, NormPair.L1_G1, 0.3)
+        else:
+            P, spec = _web_above_eps_c()
+        results = _recorded_linprog(monkeypatch)
+        report = mirror_descent_minimize(P, spec)
+        assert report.stop_reason == STOP_LP and len(results) == 1
+        n, eps, c = P.n, spec.epsilon, spec.weights(P.n)
+        u = -results[0].eqlin.marginals[:n]
+        z = -results[0].ineqlin.marginals / eps
+        assert np.abs(u).max() <= 1.0 + 1e-9
+        assert z.min() >= -1e-9 and (z - c).max() <= 1e-9 and z.sum() <= 1.0 + 1e-9
+        u = np.clip(u, -1.0, 1.0)
+        z = np.clip(z, 0.0, c)
+        z /= max(1.0, float(z.sum()))
+        h = P.rmatvec(u) - u + eps * z
+        assert report.lower_bound == float(h.min())
+        points = np.vstack([np.eye(n), np.random.default_rng(25).dirichlet(np.ones(n), 20)])
+        for y in points:
+            assert phi_value(P, y, spec) >= float(h @ y) >= report.lower_bound
+
+    def test_marginals_outside_the_dual_sets_are_clipped_and_scaled(self, monkeypatch,
+                                                                    seven_node):
+        # u tripled past the l_inf ball, and every z_j at 2 c_j: clipped to
+        # c_j they sum to 7 * 0.3 = 2.1 and are scaled by 1/2.1.  A gap
+        # tolerance of 10 accepts the weaker bound, so that it is returned
+        def returned(res):
+            res.eqlin.marginals[:] *= 3.0
+            res.ineqlin.marginals[:] = -2.0 * spec.epsilon * c
+            return res
+
+        spec = UncertaintySpec(1.0, NormPair.L1_G1, 0.3)
+        c = spec.weights(7)
+        monkeypatch.setattr(solvers, "_GAP_TOL", 10.0)
+        results = _recorded_linprog(monkeypatch, returned)
+        report = mirror_descent_minimize(seven_node, spec)
+        assert report.stop_reason == STOP_LP
+        u = np.clip(-results[0].eqlin.marginals[:7], -1.0, 1.0)
+        assert np.abs(u).max() == 1.0
+        h = seven_node.rmatvec(u) - u + spec.epsilon * (c / 2.1)
+        assert report.lower_bound == pytest.approx(float(h.min()), abs=1e-15)
+        for y in np.eye(7):
+            assert phi_value(seven_node, y, spec) >= report.lower_bound
+
+    def test_at_most_the_grid_oracle_on_criterion_8_matrices(self, monkeypatch):
+        # these positive matrices are certified nominal at every eps, so the
+        # certificate is bypassed to reach the LP; c = 0.3 and 0.5 make g1
+        # nonlinear where eps is small
+        monkeypatch.setattr(solvers, "_nominal_certificate", lambda *args: None)
+        for P in _criterion_8_matrices():
+            for eps in (0.1, 1.0, 10.0):
+                for weight in (0.3, 0.5):
+                    spec = UncertaintySpec(eps, NormPair.L1_G1, weight * eps)
+                    report = mirror_descent_minimize(P, spec)
+                    grid_best = phi_value(P, grid_oracle_minimize(P, spec, 1 / 400), spec)
+                    assert report.stop_reason == STOP_LP
+                    assert report.lower_bound <= report.objective.total <= grid_best
+
+    def test_above_the_cap_the_halving_schedule_runs(self, monkeypatch, seven_node):
+        spec = UncertaintySpec(1.0, NormPair.L1_G1, 0.3)
+        config = SolverConfig(max_iter=200, md_epochs=3, md_iters_per_epoch=20)
+        monkeypatch.setattr(solvers, "_LP_MAX_N", 7)
+        assert mirror_descent_minimize(seven_node, spec, config).stop_reason == STOP_LP
+        monkeypatch.setattr(solvers, "_LP_MAX_N", 6)
+        results = _recorded_linprog(monkeypatch)
+        report = mirror_descent_minimize(seven_node, spec, config)
+        assert results == []
+        assert (report.stop_reason, report.iterations_used) == (STOP_MAX_ITER, 60)
+
+    @pytest.mark.parametrize("failure", ["status-2", "certificate"])
+    def test_a_failed_lp_falls_back_to_the_descent(self, monkeypatch, seven_node, failure):
+        # status 2 is HiGHS's "infeasible"; zero marginals give u = z = 0 and
+        # the bound D = 0, far from phi
+        def returned(res):
+            if failure == "status-2":
+                res.status = 2
+            else:
+                res.eqlin.marginals[:] = 0.0
+                res.ineqlin.marginals[:] = 0.0
+            return res
+
+        spec = UncertaintySpec(1.0, NormPair.L1_G1, 0.3)
+        config = SolverConfig(max_iter=200, md_epochs=3, md_iters_per_epoch=20)
+        results = _recorded_linprog(monkeypatch, returned)
+        report = mirror_descent_minimize(seven_node, spec, config)
+        assert len(results) == 1
+        monkeypatch.setattr(solvers, "_LP_MAX_N", 0)
+        want = mirror_descent_minimize(seven_node, spec, config)
+        assert len(results) == 1
+        assert report.stop_reason == STOP_MAX_ITER
+        assert _report_bits(report) == _report_bits(want)
+        assert report.lower_bound == want.lower_bound
+
+    def test_two_calls_give_the_same_bytes(self):
+        P, spec = _web_above_eps_c()
+        first = mirror_descent_minimize(P, spec)
+        second = mirror_descent_minimize(P, spec)
+        assert first.stop_reason == STOP_LP
+        assert _report_bits(first) == _report_bits(second)
+        assert first.lower_bound == second.lower_bound
 
 
 class TestGridOracle:
