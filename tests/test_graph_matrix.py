@@ -6,12 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from robusteig import (EdgeList, InputError, SparseStochasticMatrix,
-                       edge_list, from_edge_list, parse_edge_list, residual,
+from robusteig import (EdgeList, GridModelSpec, InputError, ModelVariant, NormPair,
+                       SparseStochasticMatrix, UncertaintySpec, dominant_eigenvector,
+                       edge_list, from_edge_list, generate, mirror_descent_minimize,
+                       pagerank, parse_edge_list, regularized_power_method, residual,
                        uniform_vector, validate)
 from robusteig import graph_matrix
 from robusteig.graph_matrix import (_parse_canonical, _parse_general, edge_list_text,
                                     load_edge_list, out_degrees, save_edge_list)
+from robusteig.solvers import STOP_LP, STOP_NOMINAL
 
 from conftest import SEVEN_NODE_DENSE, SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, web_graph
 
@@ -153,18 +156,31 @@ class TestEdgeList:
         assert el.edges == ((0, 1), (1, 2), (0, 1))
 
 
-def mask_products(P, x, v):
-    """P x and P^T v with the dangling columns gathered and scattered through
-    a boolean mask over all n entries, kept as the reference for the index
-    array the products use."""
-    mask = np.zeros(P.n, dtype=bool)
-    mask[list(P.dangling_columns)] = True
+def at_matvec(P, x):
+    """P x by `@` on the links, the dangling columns gathered through a
+    boolean mask over all n entries: the reference that matvec, which calls
+    the compiled kernel and gathers by an index array, matches bit for bit."""
+    x = np.asarray(x, dtype=float)
     y = P._links @ x
+    if P.dangling_columns:
+        y += x[_dangling_mask(P)].sum() / P.n
+    return y
+
+
+def at_rmatvec(P, v):
+    """P^T v by `@` on the transposed links, the dangling columns scattered
+    through the mask: the reference for rmatvec."""
+    v = np.asarray(v, dtype=float)
     z = P._links.T @ v
     if P.dangling_columns:
-        y += x[mask].sum() / P.n
-        z[mask] += v.sum() / P.n
-    return y, z
+        z[_dangling_mask(P)] += v.sum() / P.n
+    return z
+
+
+def _dangling_mask(P):
+    mask = np.zeros(P.n, dtype=bool)
+    mask[list(P.dangling_columns)] = True
+    return mask
 
 
 DANGLING_MATRICES = {
@@ -172,6 +188,34 @@ DANGLING_MATRICES = {
     "a-few": lambda: web_graph(400, 5),
     "all": lambda: from_edge_list(EdgeList((), 50)),
 }
+
+# the dangling cases (int64 indices, from edge lists), int32 indices (from a
+# dense array) and n = 1
+PRODUCT_MATRICES = {
+    **DANGLING_MATRICES,
+    "dense-int32": lambda: SparseStochasticMatrix.from_dense(SEVEN_NODE_DENSE),
+    "n-1-dangling": lambda: from_edge_list(EdgeList((), 1)),
+    "n-1-loop": lambda: from_edge_list(EdgeList([(0, 0)], 1)),
+}
+
+
+def _read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+# a float64 vector as the products are handed it, in the forms they accept
+VECTOR_FORMS = {
+    "contiguous": lambda a: a,
+    "strided": lambda a: np.repeat(a, 2)[::2],
+    "read-only": _read_only,
+    "float32": lambda a: a.astype(np.float32),
+    "list": lambda a: a.tolist(),
+}
+
+# the 3-node matrix with columns of 1, 1 and 2 links
+THREE_NODE = np.array([[0, 1, 0.5], [1, 0, 0.5], [0, 0, 0]])
 
 
 class TestMatvec:
@@ -206,9 +250,53 @@ class TestMatvec:
         dense = P.to_dense()
         np.testing.assert_allclose(P.matvec(x), dense @ x, rtol=0, atol=1e-14)
         np.testing.assert_allclose(P.rmatvec(v), dense.T @ v, rtol=0, atol=1e-14)
-        want_y, want_z = mask_products(P, x, v)
+
+    @pytest.mark.parametrize("form", VECTOR_FORMS)
+    @pytest.mark.parametrize("matrix", PRODUCT_MATRICES)
+    def test_products_are_the_at_products_bit_for_bit(self, matrix, form):
+        P = PRODUCT_MATRICES[matrix]()
+        rng = np.random.default_rng(5)
+        x, v = (VECTOR_FORMS[form](rng.standard_normal(P.n)) for _ in range(2))
+        y, z = P.matvec(x), P.rmatvec(v)
+        assert y.dtype == z.dtype == np.float64
+        assert y.tobytes() == at_matvec(P, x).tobytes()
+        assert z.tobytes() == at_rmatvec(P, v).tobytes()
+        with pytest.raises(InputError):
+            P.matvec(np.ones(P.n + 1))
+        with pytest.raises(InputError):
+            P.rmatvec(np.ones((P.n, 1)))
+
+    def test_index_widths_of_both_builds(self):
+        assert PRODUCT_MATRICES["dense-int32"]()._links.indices.dtype == np.int32
+        assert PRODUCT_MATRICES["a-few"]()._links.indices.dtype == np.int64
+
+    @pytest.mark.parametrize("matrix", ["none", "a-few", "dense-int32"])
+    def test_products_skip_the_matmul_dispatch(self, matrix, monkeypatch):
+        P = PRODUCT_MATRICES[matrix]()
+        x = np.random.default_rng(6).standard_normal(P.n)
+        want_y, want_z = at_matvec(P, x), at_rmatvec(P, x)
+
+        def refuse(*args):
+            raise AssertionError("product went through the sparse @ dispatch")
+
+        for cls in (sparse.csc_array, sparse.csr_array):
+            monkeypatch.setattr(cls, "_matmul_vector", refuse)
+            monkeypatch.setattr(cls, "__matmul__", refuse)
         assert P.matvec(x).tobytes() == want_y.tobytes()
-        assert P.rmatvec(v).tobytes() == want_z.tobytes()
+        assert P.rmatvec(x).tobytes() == want_z.tobytes()
+
+    @pytest.mark.parametrize("links", [sparse.csr_array, sparse.coo_array,
+                                       sparse.csc_matrix, np.asarray])
+    def test_any_link_format_reads_as_csc(self, links):
+        want = SparseStochasticMatrix(sparse.csc_array(THREE_NODE))
+        P = SparseStochasticMatrix(links(THREE_NODE))
+        assert isinstance(P._links, sparse.csc_array)
+        x = np.array([0.2, 0.3, 0.5])
+        assert P.matvec(x).tobytes() == want.matvec(x).tobytes()
+        assert P.rmatvec(x).tobytes() == want.rmatvec(x).tobytes()
+        np.testing.assert_array_equal(out_degrees(P), [1, 1, 2])
+        assert validate(P) == validate(want)
+        assert validate(P).passed
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -222,6 +310,54 @@ class TestMatvec:
         y = P.matvec(x)
         assert y.min() >= 0
         assert abs(y.sum() - 1.0) <= 1e-12
+
+
+def _with_at_products(P):
+    """P with its products replaced, on the instance, by the `@` reference."""
+    P.matvec = lambda x: at_matvec(P, x)
+    P.rmatvec = lambda v: at_rmatvec(P, v)
+    return P
+
+
+def _report_bits(report):
+    return (report.final.tobytes(), report.phi_history, report.iterations_used,
+            report.stop_reason, report.lower_bound)
+
+
+SOLVER_MATRICES = {
+    "model2-grid-20": lambda: generate(GridModelSpec(20, ModelVariant.MODEL2)),
+    "web-300": lambda: web_graph(300, 5),
+}
+
+# the route of robust l1g1: eps 1 is below eps_c on the grid, and eps 10 is
+# above it on the web graph, which is small enough for the LP
+L1G1_ROUTE = {"model2-grid-20": (1.0, STOP_NOMINAL), "web-300": (10.0, STOP_LP)}
+
+
+class TestSolversKeepTheirBytes:
+    """Every solver gives the same bytes with the kernel products as with
+    the `@` products."""
+
+    @pytest.mark.parametrize("case", SOLVER_MATRICES)
+    def test_nominal_and_pagerank(self, case):
+        P, R = SOLVER_MATRICES[case](), _with_at_products(SOLVER_MATRICES[case]())
+        for tol in (1e-8, 1e-10):
+            assert dominant_eigenvector(P, tol).tobytes() == dominant_eigenvector(R, tol).tobytes()
+        assert _report_bits(pagerank(P)) == _report_bits(pagerank(R))
+
+    @pytest.mark.parametrize("pair", list(NormPair))
+    @pytest.mark.parametrize("case", SOLVER_MATRICES)
+    def test_algorithm1_and_mirror_descent(self, case, pair):
+        P, R = SOLVER_MATRICES[case](), _with_at_products(SOLVER_MATRICES[case]())
+        eps, route = L1G1_ROUTE[case] if pair is NormPair.L1_G1 else (1.0, None)
+        spec = UncertaintySpec(eps, pair, 1.0 / out_degrees(P).astype(float))
+        # a cap on the iterations: l1g1 on the web graph never stops early
+        assert (_report_bits(regularized_power_method(P, spec, max_iter=2000))
+                == _report_bits(regularized_power_method(R, spec, max_iter=2000)))
+        report = mirror_descent_minimize(P, spec)
+        assert _report_bits(report) == _report_bits(mirror_descent_minimize(R, spec))
+        if route:
+            assert report.stop_reason == route
 
 
 class TestValidate:
