@@ -133,6 +133,7 @@ def _uncertainty_spec(args, P: SparseStochasticMatrix) -> UncertaintySpec:
             raise _ConfigError(f"bad --col-budget value {args.col_budget!r}")
     try:
         spec = UncertaintySpec(epsilon, NormPair.from_string(args.pair), budgets)
+        spec.weights(P.n)          # eps_j / eps finite, whichever pair or set reads it
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     mass = spec.penalty_mass(P.n)

@@ -11,8 +11,9 @@ and destinations.  Canonical text, which is what `edge_list_text` writes, is
 parsed by O(m) array work: uint8 and bool operations over its bytes and one
 C-level integer parse, with no Python object per line or edge.  Any other
 text is read one line at a time by str methods and int().  Building is O(m)
-array work plus one sort of the m keys `s * n + d` (the `np.unique` of the
-keys), which collapses duplicate edges.  `EdgeList.edges`, the tuple of
+array work plus one sort of the m keys `s * n + d`, which collapses
+duplicate edges and puts the links in CSC order, so the CSC arrays are read
+off the sorted keys, with no COO stage.  `EdgeList.edges`, the tuple of
 (source, destination) pairs, is built only when it is read.
 """
 
@@ -159,8 +160,6 @@ class SparseStochasticMatrix:
             raise InputError(f"matrix must be square, got {links.shape}")
         self.n = n
         self._links = links
-        # CSR view of the transpose: shares the data, index and pointer arrays
-        self._links_t = links.T
         self._csc = (links.indptr, links.indices, links.data)
         self.dangling_columns = frozenset(int(j) for j in dangling_columns)
         # ascending, so a gather reads what a boolean mask would, in its
@@ -224,7 +223,8 @@ def from_edge_list(edges: EdgeList) -> SparseStochasticMatrix:
 
     Column j holds n_j equal entries 1/n_j at the rows j links to; duplicate
     edges collapse to one link before n_j is counted.  Dangling columns are
-    repaired to uniform over all n nodes.
+    repaired to uniform over all n nodes.  No column is rescaled: n_j
+    copies of fl(1/n_j) sum exactly to within 2^-53 of 1.
     """
     n = edges.n
     if n > _MAX_KEYED_NODES:
@@ -235,15 +235,8 @@ def from_edge_list(edges: EdgeList) -> SparseStochasticMatrix:
     keys = np.sort(edges._src * n + edges._dst)
     src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     out_degree = np.bincount(src, minlength=n)
-    links = sparse.csc_array((1.0 / out_degree[src], (dst, src)), shape=(n, n))
-    # guard against accumulated rounding in columns with many links
-    sums = np.asarray(links.sum(axis=0)).ravel()
-    off = (out_degree > 0) & (np.abs(sums - 1.0) > 1e-15)
-    if off.any():
-        scale = np.ones(n)
-        scale[off] = 1.0 / sums[off]
-        links = links @ sparse.diags_array(scale, format="csc")
-        links = sparse.csc_array(links)
+    indptr = np.concatenate(([0], np.cumsum(out_degree)))   # keys sort by column
+    links = sparse.csc_array((1.0 / out_degree[src], dst, indptr), shape=(n, n))
     return SparseStochasticMatrix(links, np.flatnonzero(out_degree == 0))
 
 
@@ -265,11 +258,11 @@ def is_irreducible(P: SparseStochasticMatrix) -> bool:
     P is irreducible when the link graph is one component, or when every
     closed component is a dangling node.
     """
-    count, labels = csgraph.connected_components(P._links_t, directed=True,
+    links_t = P._links.T            # a CSR view of the same arrays
+    count, labels = csgraph.connected_components(links_t, directed=True,
                                                  connection="strong")
     if count == 1:
         return True
-    links_t = P._links_t
     tail = labels[np.repeat(np.arange(P.n), np.diff(links_t.indptr))]
     closed = np.ones(count, dtype=bool)
     closed[tail[tail != labels[links_t.indices]]] = False

@@ -82,25 +82,26 @@ class UncertaintySpec:
     column_budgets: float | np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        cb = self.column_budgets
-        if cb is not None:
-            arr = np.atleast_1d(np.asarray(cb, dtype=float))
-            if not (arr > 0).all():
-                raise ValueError("all column budgets must be > 0")
+        budgets = () if self.column_budgets is None else self.column_budgets
+        for name, value in (("epsilon", self.epsilon), ("column budgets", budgets)):
+            try:
+                _check_weights(value)
+            except ValueError:
+                raise ValueError(f"{name} must be finite and > 0, got {value}") from None
 
     def weights(self, n: int) -> np.ndarray:
-        """Return c_j = eps_j / eps as an array of length n."""
+        """Return c_j = eps_j / eps as an array of length n, each finite and
+        > 0 (else ValueError, as when a ratio overflows)."""
         cb = self.column_budgets
         if cb is None:
             return np.full(n, 1.0 / n)
         arr = np.asarray(cb, dtype=float)
         if arr.ndim == 0:
-            return np.full(n, float(arr) / self.epsilon)
-        if arr.shape != (n,):
+            arr = np.full(n, float(arr))
+        elif arr.shape != (n,):
             raise ValueError(f"column budgets have shape {arr.shape}, expected ({n},)")
-        return arr / self.epsilon
+        with np.errstate(over="ignore"):            # an inf ratio fails the check
+            return _check_weights(arr / self.epsilon)
 
     def penalty_mass(self, n: int) -> float | None:
         """sum_j c_j for l1g1, sum_j c_j^2 for l2g2, None for l2l2.
@@ -122,14 +123,16 @@ class ObjectiveValue:
 
 
 def _check_weights(c: np.ndarray) -> np.ndarray:
+    """c as a float array, every entry finite and > 0 (else ValueError): the
+    rule for the weights c_j = eps_j / eps, and for eps and the eps_j."""
     c = np.asarray(c, dtype=float)
-    if not (c > 0).all():
-        raise ValueError("all weights c_j must be > 0")
+    if not (np.isfinite(c).all() and (c > 0).all()):
+        raise ValueError("all weights c_j = eps_j / eps must be finite and > 0")
     return c
 
 
 def _check_penalty_args(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x as a finite 1-d float array, and weights c > 0 of its shape."""
+    """x as a finite 1-d float array, and finite weights c > 0 of its shape."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"x must be 1-d, got shape {x.shape}")
@@ -424,13 +427,13 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
 def g1(x: np.ndarray, c: np.ndarray) -> float:
     """min over x = u + v of ||u||_inf + sum_j c_j |v_j|.
 
-    x must be finite and 1-d, and c > 0 of its shape (else ValueError).  The
-    box value sum_j c_j |x_j| when sum_j c_j <= 1 over the support (up to
-    rounding, see box_fits), as with the default c_j = 1/n; otherwise O(n)
-    selection of the k largest |x_j|, with k from 32 grown eightfold (the
-    last probe at n/8) until their weight reaches 1, a stable sort of those
-    k alone and the greedy fill; the O(n log n) stable sort of every |x_j|
-    when the weight is not reached within n/8 of them.
+    x and c must be finite, x 1-d and c > 0 of its shape (else ValueError).
+    The box value sum_j c_j |x_j| when sum_j c_j <= 1 over the support (up
+    to rounding, see box_fits), as with the default c_j = 1/n; otherwise
+    O(n) selection of the k largest |x_j|, with k from 32 grown eightfold
+    (the last probe at n/8) until their weight reaches 1, a stable sort of
+    those k alone and the greedy fill; the O(n log n) stable sort of every
+    |x_j| when the weight is not reached within n/8 of them.
     """
     return _g1_with_dual(*_check_penalty_args(x, c), dual=False)[0]
 
@@ -438,9 +441,9 @@ def g1(x: np.ndarray, c: np.ndarray) -> float:
 def g2(x: np.ndarray, c: np.ndarray) -> float:
     """min over x = u + v of ||u||_2 + sum_j c_j |v_j|.
 
-    x must be finite and 1-d, and c > 0 of its shape (else ValueError).  The
-    box value when sum_j c_j^2 <= 1 over the support (up to rounding, see
-    box_fits); otherwise O(n) selection of the k largest breakpoints
+    x and c must be finite, x 1-d and c > 0 of its shape (else ValueError).
+    The box value when sum_j c_j^2 <= 1 over the support (up to rounding,
+    see box_fits); otherwise O(n) selection of the k largest breakpoints
     |x_j| / c_j, with k from 32 grown eightfold (the last probe at n/8)
     until their c^2 mass reaches 1, a stable sort of those k alone, and
     O(n) sums; the O(n log n) stable sort of every breakpoint when the mass

@@ -222,9 +222,7 @@ def sample_perturbation(P: SparseStochasticMatrix, spec: UncertaintySpec,
     stochastic by allowing only nonnegative off-support mass and halving xi
     until P + xi >= 0.  The returned xi is the only n x n float array drawn.
     """
-    if set_name not in PERTURBATION_SETS:
-        raise ValueError(f"unknown perturbation set {set_name!r}; "
-                         f"expected one of {PERTURBATION_SETS}")
+    pair_for_set(set_name)                           # rejects an unknown set
     rng = np.random.default_rng(rng_seed)
     n = P.n
     stochastic_ok = None
@@ -329,7 +327,7 @@ def empirical_phi_lower_bound(P: SparseStochasticMatrix, x: np.ndarray,
     so for them include_rank1 raises ValueError, as does n_samples below 1.
     """
     _check_sample_count(n_samples)
-    expected_pair = _SET_PAIR[set_name]
+    expected_pair = pair_for_set(set_name)
     if spec.pair is not expected_pair:
         raise ValueError(f"set {set_name!r} pairs with {expected_pair.value}, "
                          f"but spec uses {spec.pair.value}")

@@ -396,19 +396,35 @@ def _barzilai_borwein(descent: _Descent, budget: int) -> str:
     return STOP_MAX_ITER
 
 
+def _certified(P: SparseStochasticMatrix, objective: Objective, x: np.ndarray,
+               value: ObjectiveValue, u: np.ndarray, z: np.ndarray, iterations: int,
+               reason: str) -> SolveReport | None:
+    """x, whose phi is value, certified as l1g1's robust optimum, or None.
+
+    For u in the unit l_inf ball and z in g1's dual set, phi(y) >=
+    ((P - I)^T u + eps z) . y on the simplex, so D = min_j of that vector is
+    a lower bound on min phi, for every P, at one rmatvec.  Where
+    phi(x) - D <= _GAP_TOL phi(x), x is returned with lower_bound D.
+    """
+    h = P.rmatvec(u)
+    h -= u
+    h += objective.spec.epsilon * z
+    lower = float(h.min())
+    if value.total - lower > _GAP_TOL * value.total:
+        return None
+    return SolveReport(x, [(0, value.total)], iterations, reason, value, lower)
+
+
 def _nominal_certificate(P: SparseStochasticMatrix, objective: Objective,
                          tol: float) -> SolveReport | None:
     """The dominant eigenvector, certified as l1g1's robust optimum, or None.
 
-    For u in the unit l_inf ball and z in g1's dual set, phi(y) >=
-    ((P - I)^T u + eps z) . y on the simplex, so D = min_j of that vector is
-    a lower bound on min phi, for every P.  At a stationary x (P x = x),
-    with penalty value pen and g1 dual z there, u = eps v with
-    (P - I)^T v = pen 1 - z, the Poisson equation of the chain, makes the
-    vector eps pen 1 = phi(x) 1: if ||u||_inf <= 1, D = phi(x) and x is
-    optimal.  v is fixed up to a constant, and half the range of v is the
-    least ||.||_inf of one, so this holds exactly for eps up to
-    eps_c = 2 / (max v - min v).
+    At a stationary x (P x = x), with penalty value pen and g1 dual z
+    there, u = eps v with (P - I)^T v = pen 1 - z, the Poisson equation of
+    the chain, makes _certified's vector eps pen 1 = phi(x) 1: if
+    ||u||_inf <= 1, D = phi(x) and x is optimal.  v is fixed up to a
+    constant, and half the range of v is the least ||.||_inf of one, so
+    this holds exactly for eps up to eps_c = 2 / (max v - min v).
 
     Declines (None) with no matvec unless P is irreducible.  Otherwise x is
     dominant_eigenvector(P, tol), and v the lazy series
@@ -419,9 +435,8 @@ def _nominal_certificate(P: SparseStochasticMatrix, objective: Objective,
     ||P x - x||_1 + eps ||res||_inf, with res = (P^T - I) v - rhs, is at most
     _GAP_TOL phi(x), and declines if _POISSON_TERMS terms do not get there.
     It declines if eps (max v - min v) / 2 > 1; u is never scaled into the
-    ball.  Last, D costs one rmatvec; phi(x) - D must meet _GAP_TOL phi(x)
-    (which only rounding can undo), and x is returned with reason nominal,
-    lower_bound D and iterations_used the series' terms.
+    ball.  Last, _certified checks D (only rounding can fail it), and x is
+    returned with reason nominal and iterations_used the series' terms.
     """
     if not is_irreducible(P):
         return None
@@ -449,13 +464,7 @@ def _nominal_certificate(P: SparseStochasticMatrix, objective: Objective,
     u = eps * v                                 # centred, as every term is
     if float(np.abs(u).max()) > 1.0:
         return None
-    h = P.rmatvec(u)
-    h -= u
-    h += eps * z
-    lower = float(h.min())
-    if value.total - lower > _GAP_TOL * value.total:
-        return None
-    return SolveReport(x, [(0, value.total)], terms, STOP_NOMINAL, value, lower)
+    return _certified(P, objective, x, value, u, z, terms, STOP_NOMINAL)
 
 
 def _l1g1_lp(P: SparseStochasticMatrix, objective: Objective) -> SolveReport | None:
@@ -474,11 +483,9 @@ def _l1g1_lp(P: SparseStochasticMatrix, objective: Objective) -> SolveReport | N
     evaluated there by Objective.  The certificate is read off HiGHS's
     marginals: u, the negated marginals of the residual rows, clipped to the
     unit l_inf ball, and z, the negated marginals of the g1 rows over eps,
-    clipped to [0, c] and scaled to sum_j z_j <= 1, g1's dual set.  By the
-    weak duality of _nominal_certificate, D = min_j ((P - I)^T u + eps z)_j
-    bounds min phi from below, for one rmatvec.  Declines (None) unless
-    HiGHS reports an optimum and phi - D <= _GAP_TOL phi; otherwise x is
-    returned with reason lp, lower_bound D and iterations_used HiGHS's.
+    clipped to [0, c] and scaled to sum_j z_j <= 1, g1's dual set, for
+    _certified.  Declines (None) unless HiGHS reports an optimum and
+    _certified passes; x is returned with reason lp and HiGHS's iterations.
     """
     from scipy import optimize, sparse        # about 0.15 s to import: only when used
 
@@ -508,13 +515,7 @@ def _l1g1_lp(P: SparseStochasticMatrix, objective: Objective) -> SolveReport | N
     u = np.clip(-res.eqlin.marginals[:n], -1.0, 1.0)
     z = np.clip(-res.ineqlin.marginals / eps, 0.0, c)
     z /= max(1.0, float(z.sum()))
-    h = P.rmatvec(u)
-    h -= u
-    h += eps * z
-    lower = float(h.min())
-    if value.total - lower > _GAP_TOL * value.total:
-        return None
-    return SolveReport(x, [(0, value.total)], res.nit, STOP_LP, value, lower)
+    return _certified(P, objective, x, value, u, z, res.nit, STOP_LP)
 
 
 def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,

@@ -118,6 +118,15 @@ class TestRank:
         assert doc["objective"]["total"] == pytest.approx(20 / 69, abs=1e-9)
         assert run_cli(capsys, *args) == (code, out)
 
+    def test_json_top_k_lists_the_largest_scores(self, capsys, seven_node_file):
+        code, out = run_cli(capsys, "rank", "--input", seven_node_file,
+                            "--solver", "pagerank", "--format", "json", "--top-k", "2")
+        assert code == 0
+        doc = json.loads(out)
+        order = np.argsort(-np.array(doc["scores"]), kind="stable")[:2]
+        assert doc["top"] == [[int(i), doc["scores"][i]] for i in order]
+        assert doc["top"][0][1] >= doc["top"][1][1]
+
     def test_nominal_default_tol_ends_and_repeats_bytes(self, capsys):
         # the default --tol 1e-10 once meant 2e10 matvecs on this 900-node grid
         args = ("rank", "--model", "model1", "--n", "30", "--solver", "nominal")
@@ -229,6 +238,13 @@ class TestCompare:
         assert set(doc["phi"]) == {"pagerank", "robust-exact"}
         assert doc["phi"]["robust-exact"] <= doc["phi"]["pagerank"]
 
+    def test_unknown_solver_in_the_list_is_a_config_error(self, capsys, seven_node_file):
+        code = main(["compare", "--input", seven_node_file, "--solvers", "nominal,bogus"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "robusteig: error: unknown solver 'bogus'\n"
+
     def test_single_solver_rejected(self, capsys, seven_node_file):
         code, _ = run_cli(capsys, "compare", "--input", seven_node_file,
                           "--solvers", "pagerank")
@@ -330,6 +346,46 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "rank", "--input", seven_node_file,
                           "--epsilon", "-1")
         assert code == 1
+
+    @pytest.mark.parametrize("pair", ["l1g1", "l2g2", "l2l2"])
+    @pytest.mark.parametrize("flags, message", [
+        (("--col-budget", "uniform:inf"), "column budgets must be finite and > 0, got inf"),
+        (("--col-budget", "uniform:nan"), "column budgets must be finite and > 0, got nan"),
+        (("--epsilon", "inf"), "epsilon must be finite and > 0, got inf"),
+        (("--epsilon", "nan"), "epsilon must be finite and > 0, got nan"),
+    ], ids=["inf-budget", "nan-budget", "inf-epsilon", "nan-epsilon"])
+    def test_non_finite_budget_or_epsilon_is_a_config_error(self, capsys, pair, flags,
+                                                            message):
+        code = main(["rank", "--model", "model2", "--n", "3", "--format", "json",
+                     "--pair", pair, *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"robusteig: error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--pair", "l1g1"], ["rank", "--pair", "l2g2"], ["rank", "--pair", "l2l2"],
+        ["stress", "--pair", "l2l2", "--set", "xi1", "--samples", "2"],
+    ], ids=["l1g1", "l2g2", "l2l2", "stress-xi1"])
+    def test_weights_that_overflow_are_a_config_error(self, capsys, argv):
+        code = main([*argv, "--model", "model2", "--n", "3",
+                     "--col-budget", "uniform:1e308", "--epsilon", "1e-10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("robusteig: error: all weights c_j = eps_j / eps "
+                                "must be finite and > 0\n")
+
+    def test_solver_failure_exits_three(self, capsys, seven_node_file, monkeypatch):
+        def explode(*args, **kwargs):
+            raise RuntimeError("no convergence")
+
+        monkeypatch.setattr(solvers, "pagerank", explode)
+        code = main(["rank", "--input", seven_node_file, "--solver", "pagerank"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "robusteig: solver error: no convergence\n"
 
     @pytest.mark.parametrize("solver", RANK_SOLVERS)
     @pytest.mark.parametrize("flag, value, message", [

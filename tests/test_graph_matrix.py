@@ -14,6 +14,7 @@ from robusteig import (EdgeList, GridModelSpec, InputError, ModelVariant, NormPa
 from robusteig import graph_matrix
 from robusteig.graph_matrix import (_parse_canonical, _parse_general, edge_list_text,
                                     load_edge_list, out_degrees, save_edge_list)
+from robusteig.models import edge_list_for
 from robusteig.solvers import STOP_LP, STOP_NOMINAL
 
 from conftest import SEVEN_NODE_DENSE, SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, web_graph
@@ -126,6 +127,63 @@ class TestFromEdgeList:
         np.testing.assert_array_equal(out_degrees(seven_node), [2, 1, 3, 2, 1, 1, 1])
         P = from_edge_list(edge_list([(0, 1), (0, 2)], 3))
         np.testing.assert_array_equal(out_degrees(P), [2, 3, 3])
+
+
+def _coo_build(edges: EdgeList) -> sparse.csc_array:
+    """The link matrix as scipy's COO-to-CSC conversion builds it from the
+    distinct links and the entries 1/n_j."""
+    src, dst = np.array(sorted(set(edges.edges)), dtype=np.int64).reshape(-1, 2).T
+    out_degree = np.bincount(src, minlength=edges.n)
+    return sparse.csc_array((1.0 / out_degree[src], (dst, src)), shape=(edges.n, edges.n))
+
+
+# edge lists the direct CSC build must give the COO build's bytes on
+DIRECT_BUILD_INPUTS = {
+    "duplicates": lambda: _random_edges(40, 300, 7),
+    "duplicates-sparse": lambda: _random_edges(500, 400, 8),
+    "no-edges": lambda: EdgeList((), 1),
+    "all-dangling": lambda: EdgeList((), 9),
+    "model1-side-2": lambda: edge_list_for(GridModelSpec(2, ModelVariant.MODEL1)),
+    "model2-side-2": lambda: edge_list_for(GridModelSpec(2, ModelVariant.MODEL2)),
+    "model1-side-20": lambda: edge_list_for(GridModelSpec(20, ModelVariant.MODEL1)),
+    "model2-side-20": lambda: edge_list_for(GridModelSpec(20, ModelVariant.MODEL2)),
+    "star": lambda: EdgeList.from_arrays(np.zeros(10**5, dtype=np.int64),
+                                         np.arange(1, 10**5 + 1), 10**5 + 1),
+}
+
+
+class TestDirectCSCBuild:
+    """from_edge_list hands scipy the CSC arrays its sorted keys already are."""
+
+    @pytest.mark.parametrize("name", DIRECT_BUILD_INPUTS)
+    def test_same_arrays_as_the_coo_build(self, name):
+        edges = DIRECT_BUILD_INPUTS[name]()
+        P, want = from_edge_list(edges), _coo_build(edges)
+        for attr in ("indptr", "indices", "data"):
+            got = getattr(P._links, attr)
+            assert got.dtype == getattr(want, attr).dtype
+            assert got.tobytes() == getattr(want, attr).tobytes()
+        assert validate(P).passed
+
+    def test_columns_of_many_links_sum_to_one_without_rescaling(self):
+        # n_j copies of fl(1/n_j) sum exactly to within 2^-53 of 1
+        P = from_edge_list(DIRECT_BUILD_INPUTS["star"]())
+        assert P._links.data[0] == 1.0 / 10**5
+        assert abs(P.column_sums()[0] - 1.0) <= 1e-15
+
+    def test_builds_with_no_coo_stage(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("from_edge_list went through a COO array")
+
+        # tocsc, and the conversion that csc_array((data, (row, col))) calls
+        monkeypatch.setattr(sparse.coo_array, "tocsc", refuse)
+        monkeypatch.setattr(sparse._coo._coo_base, "tocsc", refuse)
+        monkeypatch.setattr(sparse._coo._coo_base, "_coo_to_compressed", refuse)
+        P = from_edge_list(edge_list([(0, 1), (0, 2), (2, 0), (0, 1)], 4))
+        np.testing.assert_array_equal(P.to_dense(), [[0, 0.25, 1, 0.25],
+                                                     [0.5, 0.25, 0, 0.25],
+                                                     [0.5, 0.25, 0, 0.25],
+                                                     [0, 0.25, 0, 0.25]])
 
 
 class TestEdgeList:

@@ -497,6 +497,30 @@ class TestUncertaintySpec:
         with pytest.raises(ValueError):
             UncertaintySpec(1.0, NormPair.L1_G1, np.ones(3)).weights(4)
 
+    @pytest.mark.parametrize("epsilon", [np.inf, -np.inf, np.nan])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            UncertaintySpec(epsilon, NormPair.L2_L2)
+
+    @pytest.mark.parametrize("pair", list(NormPair))
+    @pytest.mark.parametrize("budgets", [np.inf, np.nan, np.array([0.5, np.inf]),
+                                         np.array([np.nan, 0.5])],
+                             ids=["inf", "nan", "one-inf", "one-nan"])
+    def test_non_finite_column_budgets_rejected(self, pair, budgets):
+        with pytest.raises(ValueError, match="column budgets must be finite and > 0"):
+            UncertaintySpec(1.0, pair, budgets)
+
+    @pytest.mark.parametrize("pair", [NormPair.L1_G1, NormPair.L2_G2])
+    @pytest.mark.parametrize("budgets", [1e308, np.array([1.0, 1e308])],
+                             ids=["uniform", "one"])
+    def test_weights_that_overflow_rejected(self, seven_node, pair, budgets):
+        # each eps_j and eps is finite, but eps_j / eps is not
+        spec = UncertaintySpec(1e-10, pair, budgets)
+        with pytest.raises(ValueError, match="weights c_j = eps_j / eps must be finite"):
+            spec.weights(2)
+        with pytest.raises(ValueError, match="weights c_j"):
+            Objective(seven_node, UncertaintySpec(1e-10, pair, 1e308))
+
     def test_penalty_mass_is_the_sum_each_penalty_compares_with_one(self):
         budgets = np.array([1.0, 4.0])
         assert UncertaintySpec(2.0, NormPair.L1_G1, budgets).penalty_mass(2) == 2.5
@@ -609,7 +633,10 @@ class TestSubgradientPhi:
     ([np.nan, 1.0], [1.0, 1.0]),
     ([np.inf, 1.0], [1.0, 1.0]),
     ([1.0, -np.inf], [0.5, 0.5]),
-], ids=["short-c", "2-d", "nan", "inf", "minus-inf"])
+    ([1.0, 2.0], [np.inf, np.inf]),
+    ([1.0, 2.0], [0.5, np.inf]),
+    ([1.0, 2.0], [np.nan, 0.5]),
+], ids=["short-c", "2-d", "nan", "inf", "minus-inf", "inf-c", "one-inf-c", "nan-c"])
 def test_bad_penalty_input_rejected(kind, x, c):
     fn = g1 if kind == "g1" else g2
     with pytest.raises(ValueError):

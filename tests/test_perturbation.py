@@ -291,6 +291,17 @@ class TestEmpiricalLowerBound:
                     "xif", n_samples=n_samples)
         assert calls == []
 
+    def test_unknown_set_rejected_as_pair_for_set_words_it(self, seven_node):
+        with pytest.raises(ValueError) as want:
+            pair_for_set("bogus")
+        spec = UncertaintySpec(1.0, NormPair.L2_L2)
+        for call in (lambda: sample_perturbation(seven_node, spec, "bogus"),
+                     lambda: empirical_phi_lower_bound(seven_node, uniform_vector(7), spec,
+                                                       "bogus")):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
     def test_mismatched_pair_rejected(self, seven_node):
         spec = UncertaintySpec(1.0, NormPair.L2_L2)
         with pytest.raises(ValueError):
