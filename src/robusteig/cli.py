@@ -218,9 +218,11 @@ def cmd_compare(args, out) -> int:
     names = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if len(names) < 2:
         raise _ConfigError("compare needs at least two solvers")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in RANK_SOLVERS:
             raise _ConfigError(f"unknown solver {name!r}")
+        if name in names[:i]:                    # reports are keyed by name
+            raise _ConfigError(f"solver {name!r} listed twice")
     if args.extract != "all" and model_spec is None:
         raise _ConfigError("--extract requires --model")
 

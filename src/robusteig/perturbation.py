@@ -15,6 +15,7 @@ Set names:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,12 @@ def _fallback_direction(n: int) -> np.ndarray:
     return c
 
 
+def _check_eps(eps: float) -> None:
+    # an infinite eps makes xi* NaN, and every sample of the ball NaN
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+
+
 def worst_case_rank1(P: SparseStochasticMatrix, x: np.ndarray, eps: float) -> Rank1Perturbation:
     """The perturbation attaining ||(P+xi)x - x||_2 = ||Px-x||_2 + eps ||x||_2.
 
@@ -118,8 +125,7 @@ def worst_case_rank1(P: SparseStochasticMatrix, x: np.ndarray, eps: float) -> Ra
     direction degenerates and a fixed unit zero-sum direction is used instead
     (the bound is still attained).
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    _check_eps(eps)
     x = np.asarray(x, dtype=float)
     nx = float(np.linalg.norm(x))
     if nx == 0.0:
@@ -141,13 +147,13 @@ def check_perturbation_bound(a: np.ndarray, b: np.ndarray, eps: float,
     """Verify max over ||xi||_F <= eps of ||a + xi b||_2 = ||a||_2 + eps ||b||_2.
 
     Samples random Frobenius-ball perturbations (none may exceed the bound)
-    and constructs the attaining rank-1 xi* = eps a b^T / (||a|| ||b||),
-    falling back to a fixed unit direction when a = 0.  n_samples below 1
-    raises ValueError.
+    and measures the attaining rank-1 xi* = eps a b^T / (||a|| ||b||) through
+    xi* b = eps ||b|| a / ||a||, without forming xi*; a fixed unit direction
+    stands in for a / ||a|| when a = 0.  n_samples below 1, and an eps that
+    is not finite and > 0, raise ValueError.
     """
     _check_sample_count(n_samples)
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    _check_eps(eps)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
@@ -166,8 +172,7 @@ def check_perturbation_bound(a: np.ndarray, b: np.ndarray, eps: float,
         left = _fallback_direction(a.size)
     else:
         left = np.ones(1)
-    xi_star = eps * np.outer(left, b / nb) if nb > 0 else np.zeros((a.size, b.size))
-    attained = float(np.linalg.norm(a + xi_star @ b))
+    attained = float(np.linalg.norm(a + (eps * nb) * left))    # xi* b, xi* = eps left b^T / ||b||
     return PerturbationBoundReport(
         bound=bound,
         attained=attained,
@@ -292,24 +297,23 @@ def sampled_residuals(P: SparseStochasticMatrix, x: np.ndarray, spec: Uncertaint
     """Realized ||(P + xi) x - x|| for the samples rng_seed, rng_seed + 1, ...
 
     The norm is l1 for xi1 and l2 otherwise.  Returns the per-sample values
-    and whether no sample reported itself infeasible.  Each sample is dropped
-    before the next is drawn, so one xi is alive at a time beside dense P.
-    n_samples below 1 raises ValueError before any work.
+    and whether no sample reported itself infeasible.  Each value is
+    ||r + xi x|| with r = Px - x computed once, so neither P + xi nor a dense
+    P is formed; each sample is dropped before the next is drawn, so one xi
+    is the only n x n array alive.  n_samples below 1 raises ValueError
+    before any work.
     """
     _check_sample_count(n_samples)
     x = np.asarray(x, dtype=float)
     ord_ = 1 if set_name == "xi1" else 2
-    dense = P.to_dense()
+    r = P.matvec(x) - x
     realized = []
     all_feasible = True
     for i in range(n_samples):
         sample = sample_perturbation(P, spec, set_name, rng_seed + i)
         all_feasible = all_feasible and sample.stochastic_ok is not False
-        perturbed = sample.xi
+        realized.append(float(np.linalg.norm(r + sample.xi @ x, ord=ord_)))
         del sample
-        perturbed += dense                           # P + xi in the sample's own array
-        realized.append(float(np.linalg.norm(perturbed @ x - x, ord=ord_)))
-        del perturbed
     return realized, all_feasible
 
 

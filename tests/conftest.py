@@ -302,15 +302,15 @@ def _sample_perturbation_dense(P, spec, set_name, rng_seed=0):
 
 
 def _stress_realized_dense(P, x, spec, set_name, n_samples, rng_seed):
-    """The stress loop on the dense sampler: per-sample ||(P + xi) x - x||
-    (l1 for xi1, l2 otherwise) and whether every sample was feasible."""
-    dense = P.to_dense()
+    """The stress loop on the dense sampler: per-sample ||(P + xi) x - x||,
+    summed as (Px - x) + xi x (l1 for xi1, l2 otherwise), and whether every
+    sample was feasible."""
     ord_ = 1 if set_name == "xi1" else 2
     realized = []
     all_valid = True
     for i in range(n_samples):
         sample = _sample_perturbation_dense(P, spec, set_name, rng_seed + i)
-        realized.append(float(np.linalg.norm((dense + sample.xi) @ x - x, ord=ord_)))
+        realized.append(float(np.linalg.norm(P.matvec(x) - x + sample.xi @ x, ord=ord_)))
         if sample.stochastic_ok is False:
             all_valid = False
     return realized, all_valid

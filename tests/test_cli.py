@@ -245,6 +245,22 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err == "robusteig: error: unknown solver 'bogus'\n"
 
+    def test_solver_listed_twice_is_a_config_error(self, capsys):
+        # the columns, phi lines and l1 pairs are keyed by name
+        code = main(["compare", "--model", "model2", "--n", "3",
+                     "--solvers", "nominal,pagerank,nominal"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "robusteig: error: solver 'nominal' listed twice\n"
+
+    def test_distinct_names_sharing_a_solver_accepted(self, capsys):
+        code, out = run_cli(capsys, "compare", "--model", "model2", "--n", "3",
+                            "--solvers", "power-avg,nominal")
+        assert code == 0
+        assert out.splitlines()[0] == "node,power-avg,nominal"
+        assert "# l1,power-avg,nominal,0\n" in out
+
     def test_single_solver_rejected(self, capsys, seven_node_file):
         code, _ = run_cli(capsys, "compare", "--input", seven_node_file,
                           "--solvers", "pagerank")

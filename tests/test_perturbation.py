@@ -67,6 +67,12 @@ class TestWorstCaseRank1:
         with pytest.raises(ValueError):
             worst_case_rank1(seven_node, np.zeros(7), eps=1.0)
 
+    @pytest.mark.parametrize("eps", [float("inf"), float("nan")])
+    def test_non_finite_eps_rejected(self, seven_node, eps):
+        # an infinite scale makes apply() NaN and -inf
+        with pytest.raises(ValueError, match=f"eps must be finite and > 0, got {eps}$"):
+            worst_case_rank1(seven_node, uniform_vector(7), eps)
+
 
 class TestPerturbationBound:
     def test_two_dimensional_hand_case(self):
@@ -89,6 +95,24 @@ class TestPerturbationBound:
     def test_no_samples_rejected(self, n_samples):
         with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n_samples}$"):
             check_perturbation_bound(np.ones(3), np.ones(3), eps=0.5, n_samples=n_samples)
+
+    @pytest.mark.parametrize("eps", [float("inf"), float("nan")])
+    def test_non_finite_eps_rejected(self, eps):
+        # every sample would be NaN, which max() skips: a check that never ran
+        with pytest.raises(ValueError, match=f"eps must be finite and > 0, got {eps}$"):
+            check_perturbation_bound(np.ones(3), np.ones(3), eps, n_samples=2)
+
+    def test_attained_is_xi_star_times_b(self):
+        rng = np.random.default_rng(4)
+        for a, b in ((rng.standard_normal(6), rng.standard_normal(4)),
+                     (np.zeros(3), rng.standard_normal(5)),
+                     (rng.standard_normal(3), np.zeros(2))):
+            na, nb = np.linalg.norm(a), np.linalg.norm(b)
+            left = a / na if na > 0 else np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+            xi_star = 0.7 * np.outer(left, b / nb) if nb > 0 else np.zeros((a.size, b.size))
+            report = check_perturbation_bound(a, b, 0.7, n_samples=1)
+            assert report.attained == pytest.approx(np.linalg.norm(a + xi_star @ b), rel=1e-14)
+            assert report.equality_gap <= 1e-12
 
     def test_sampled_values_never_exceed_the_bound(self):
         rng = np.random.default_rng(2)
@@ -235,6 +259,54 @@ class TestSamplerParity:
         assert peak <= 1.2 * 8 * n * n
 
 
+class TestSampledResiduals:
+    """Each realized value as ||(Px - x) + xi x||: no P + xi, no dense P."""
+
+    @pytest.mark.parametrize("set_name", PERTURBATION_SETS)
+    def test_no_dense_copy_of_p(self, seven_node, monkeypatch, set_name):
+        calls = []
+        to_dense = seven_node.to_dense
+        monkeypatch.setattr(seven_node, "to_dense", lambda: calls.append(1) or to_dense())
+        spec = UncertaintySpec(1.0, pair_for_set(set_name))
+        x = uniform_vector(7)
+        sampled_residuals(seven_node, x, spec, set_name, n_samples=3)
+        empirical_phi_lower_bound(seven_node, x, spec, set_name, n_samples=3)
+        assert calls == []
+
+    @pytest.mark.parametrize("set_name", PERTURBATION_SETS)
+    def test_holds_about_one_n_by_n_array(self, set_name):
+        n = 1000
+        P = web_graph(n, 7)
+        spec = UncertaintySpec(1.0, pair_for_set(set_name))
+        x = uniform_vector(n)
+        tracemalloc.start()
+        try:
+            sampled_residuals(P, x, spec, set_name, n_samples=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 8 * n * n
+
+    @pytest.mark.parametrize("matrix", PARITY_MATRICES)
+    @pytest.mark.parametrize("set_name", PERTURBATION_SETS)
+    def test_matches_the_dense_perturbed_residual(self, matrix, set_name):
+        P = PARITY_MATRICES[matrix]()
+        x = np.random.default_rng(11).dirichlet(np.ones(P.n))
+        ord_ = 1 if set_name == "xi1" else 2
+        for eps in (0.1, 1.0, 10.0):
+            spec = UncertaintySpec(eps, pair_for_set(set_name))
+            for seed in range(3):
+                try:
+                    xi = sample_perturbation(P, spec, set_name, seed).xi
+                except InfeasiblePerturbationError:
+                    with pytest.raises(InfeasiblePerturbationError):
+                        sampled_residuals(P, x, spec, set_name, 1, seed)
+                    continue
+                want = perturbed_residual(P, xi, x, ord_)
+                [got], _ = sampled_residuals(P, x, spec, set_name, 1, seed)
+                assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
 class TestEmpiricalLowerBound:
     def test_fixed_point_with_tiny_budget_stays_below_the_penalty(self, seven_node):
         xbar = np.array([0, 0, 0, 0, 0, 0.5, 0.5])
@@ -264,7 +336,7 @@ class TestEmpiricalLowerBound:
         empirical_phi_lower_bound(seven_node, uniform_vector(7),
                                   UncertaintySpec(1.0, NormPair.L2_L2), "xif_ball",
                                   n_samples=3, include_rank1=True)
-        assert len(calls) == 1                   # the sampled residuals' one dense P
+        assert calls == []
 
     @pytest.mark.parametrize("set_name", PERTURBATION_SETS)
     def test_rank1_admitted_for_the_frobenius_ball_only(self, seven_node, set_name):
