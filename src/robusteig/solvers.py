@@ -8,11 +8,12 @@ oracle for tiny instances.
 On l1g1 the minimizer first tries an exact certificate: on an irreducible
 P, the dominant eigenvector is the robust optimum for every eps up to a
 threshold eps_c, and a dual pair read off the chain's Poisson equation
-(Kemeny & Snell, Finite Markov Chains, 1960) proves it; see
-_nominal_certificate.  Where that declines, l1g1 is a linear program, which
-scipy's HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) solves exactly up to
-_LP_MAX_N nodes, certified by the same kind of dual pair; see _l1g1_lp.  The
-halving schedule runs only past both.
+(Kemeny & Snell, Finite Markov Chains, 1960), solved by restarted GMRES,
+proves it; see _nominal_certificate and _poisson_gmres.  Where that
+declines, l1g1 is a linear program, which scipy's HiGHS (Huangfu & Hall,
+Math. Prog. Comp. 2018) solves exactly up to _LP_MAX_N nodes, certified by
+the same kind of dual pair; see _l1g1_lp.  The halving schedule runs only
+past both.
 """
 
 from __future__ import annotations
@@ -47,12 +48,22 @@ _STALL_TOL = 1e-12
 # mirror_descent_minimize stops once best phi - lower bound <= _GAP_TOL * best phi
 _GAP_TOL = 1e-3
 
-# its nominal certificate on l1g1 gives up after this many terms of its
-# Poisson series, one rmatvec each, so that a decline costs a bounded
-# amount: about the rmatvecs of the default 9000-evaluation descent.
-# Measured under inv-degree budgets, the periodic Model 2 grids of side 10,
-# 20 and 30 take 553, 2341 and 5360 terms, a 1e5-node web graph 37
+# its nominal certificate on l1g1 gives up after this many products of the
+# GMRES solve of its Poisson equation, one rmatvec each, so that a decline
+# costs a bounded amount: about the rmatvecs of the default 9000-evaluation
+# descent.  Measured under inv-degree budgets, the periodic Model 2 grids of
+# side 10, 20, 30 and 60 take 18, 38, 224 and 572 products, a 1e5-node web
+# graph 17
 _POISSON_TERMS = 10_000
+
+# that solve restarts every _KRYLOV_RESTART products, or sooner where n is
+# large, so that its basis holds at most about _KRYLOV_ENTRIES floats
+# (3.2 MB): 40 vectors at n = 400, 4 at n = 1e5.  The Model 2 grid of side
+# 20 needs a restart length of 38 or more (30 took 137 products against
+# 38); an unbounded basis (17 products, 18 vectors) raised web-large's
+# peak resident memory in the benchmark from 47.3-48.1 to 57.0-57.9 MB
+_KRYLOV_RESTART = 40
+_KRYLOV_ENTRIES = 400_000
 
 # where that certificate declines, l1g1 is solved as an LP up to this n.
 # Measured on reducible web graphs (graph seed 14, inv-degree budgets, eps 1,
@@ -76,6 +87,13 @@ _SUFFICIENT_DECREASE = 1e-4
 _MAX_EXPONENT = 2.0
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
+
+
 @dataclass
 class SolveReport:
     """Outcome of an iterative solve.
@@ -96,8 +114,8 @@ class SolveReport:
 
     stop_reason nominal is mirror descent's on l1g1 when it returns the
     certified dominant eigenvector and runs no descent: phi_history then
-    holds its one value, and iterations_used counts the terms of the
-    certificate's Poisson series, one rmatvec each.  stop_reason lp is its
+    holds its one value, and iterations_used counts the products of the
+    certificate's GMRES solve, one rmatvec each.  stop_reason lp is its
     reason on l1g1 when it returns the certified solution of the exact LP
     and runs no descent: phi_history holds its one value, and
     iterations_used counts HiGHS's iterations.
@@ -133,8 +151,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        _check_tol(self.tol)
         for name in ("max_iter", "md_epochs", "md_iters_per_epoch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -150,6 +167,7 @@ def pagerank(P: SparseStochasticMatrix, alpha: float = 0.85, tol: float = 1e-10,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_tol(tol)
     objective = Objective(P, spec or _DEFAULT_SPEC)
     x = uniform_vector(P.n)
     shift = (1.0 - alpha) * x
@@ -239,8 +257,7 @@ def dominant_eigenvector(P: SparseStochasticMatrix, tol: float = 1e-6) -> np.nda
     that delta = 1e-6, tol 1e-6 returns the uniform start (residual 5e-7),
     0.5 in l1 from the stationary vector.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _check_tol(tol)
     cap = max(1, math.ceil(2.0 / tol))
     x = uniform_vector(P.n)
     K = min(_FIRST_ROUND_TERMS, cap)
@@ -415,6 +432,75 @@ def _certified(P: SparseStochasticMatrix, objective: Objective, x: np.ndarray,
     return SolveReport(x, [(0, value.total)], iterations, reason, value, lower)
 
 
+def _poisson_gmres(P: SparseStochasticMatrix, rhs: np.ndarray,
+                   tol: float) -> tuple[np.ndarray, int] | None:
+    """v with ||(P^T - I) v - rhs||_inf <= tol, and the products made, or None.
+
+    Restarted GMRES (Saad & Schultz 1986) from v = 0, each product one
+    rmatvec; restarts every m products, m = min(_KRYLOV_RESTART,
+    _KRYLOV_ENTRIES // n) but at least 1, so the basis, a list of n-vectors,
+    holds at most about _KRYLOV_ENTRIES floats.  The Hessenberg matrix is
+    reduced by Givens rotations and solved by back-substitution in Python,
+    no LAPACK call.  The stop reads the residual vector off the rotations,
+    r_k = s_k^2 r_{k-1} - (c_k gamma_k / d_k) w_k, with w_k the new
+    direction before normalization, d_k the rotated diagonal and gamma_k
+    the residual's coefficient before rotation k: O(n) a step and no
+    product, exact up to rounding wherever the Arnoldi relation holds;
+    restarts begin from it too.
+
+    P^T - I is singular, null space span(1), but of index 1, and rhs is
+    orthogonal to the stationary vector up to its error, so GMRES converges
+    (Brown & Walker 1997).  Returns None once _POISSON_TERMS products do not
+    reach tol, or when a step finds an invariant Krylov space (nothing new
+    to add: a zero rotated column, or a zero new direction) and the
+    residual there misses tol, which no restart can improve on.
+    """
+    n = P.n
+    m = max(1, min(_KRYLOV_RESTART, _KRYLOV_ENTRIES // n))
+    v = np.zeros(n)
+    r = rhs.copy()                                   # rhs - (P^T - I) v
+    products = 0
+    while float(np.abs(r).max()) > tol:
+        gamma = math.sqrt(float(r @ r))
+        basis = [r / gamma]
+        columns, rotations, g = [], [], [gamma]
+        for k in range(m):
+            if products == _POISSON_TERMS:
+                return None
+            w = P.rmatvec(basis[k])
+            w -= basis[k]
+            products += 1
+            h = []
+            for b in basis:                          # modified Gram-Schmidt
+                h.append(float(w @ b))
+                w -= h[-1] * b
+            h_next = math.sqrt(float(w @ w))
+            for i, (c, s) in enumerate(rotations):
+                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            d = math.hypot(h[k], h_next)
+            if d == 0.0:
+                return None
+            c, s = h[k] / d, h_next / d
+            h[k] = d
+            columns.append(h)
+            rotations.append((c, s))
+            gamma = g[k]
+            g[k] = c * gamma
+            g.append(-s * gamma)
+            r *= s * s
+            r -= (c * gamma / d) * w
+            if h_next == 0.0 or k == m - 1 or float(np.abs(r).max()) <= tol:
+                break
+            basis.append(w / h_next)
+        y = [0.0] * len(columns)                     # back-substitution
+        for i in reversed(range(len(y))):
+            y[i] = (g[i] - sum(columns[j][i] * y[j] for j in range(i + 1, len(y)))) / columns[i][i]
+            v += y[i] * basis[i]
+        if h_next == 0.0 and float(np.abs(r).max()) > tol:
+            return None
+    return v, products
+
+
 def _nominal_certificate(P: SparseStochasticMatrix, objective: Objective,
                          tol: float) -> SolveReport | None:
     """The dominant eigenvector, certified as l1g1's robust optimum, or None.
@@ -427,16 +513,17 @@ def _nominal_certificate(P: SparseStochasticMatrix, objective: Objective,
     this holds exactly for eps up to eps_c = 2 / (max v - min v).
 
     Declines (None) with no matvec unless P is irreducible.  Otherwise x is
-    dominant_eigenvector(P, tol), and v the lazy series
-    v <- (P^T v + v - rhs) / 2, rhs = pen 1 - z, which converges on periodic
-    chains too; it is centred by its mid-range at each term, since an x off
-    the exact eigenvector leaves rhs slightly off orthogonal to it, which
-    moves v by a constant each term.  The series stops once
-    ||P x - x||_1 + eps ||res||_inf, with res = (P^T - I) v - rhs, is at most
-    _GAP_TOL phi(x), and declines if _POISSON_TERMS terms do not get there.
-    It declines if eps (max v - min v) / 2 > 1; u is never scaled into the
-    ball.  Last, _certified checks D (only rounding can fail it), and x is
-    returned with reason nominal and iterations_used the series' terms.
+    dominant_eigenvector(P, tol), and _poisson_gmres solves for v, with
+    rhs = pen 1 - z, until ||P x - x||_1 + eps ||res||_inf, with
+    res = (P^T - I) v - rhs, is at most _GAP_TOL phi(x); the certificate
+    declines where it does not get there.  GMRES is fast on periodic chains
+    too, where a fixed-point series moves at the lazy chain's spectral gap:
+    under inv-degree budgets the Model 2 grids of side 20 and 60 take 38
+    and 572 products.  v is then centred by its mid-range, and the
+    certificate declines if eps (max v - min v) / 2 > 1; u is never scaled
+    into the ball.  Last, _certified checks D, which also catches a
+    residual that the solve's estimate put too low, and x is returned with
+    reason nominal and iterations_used the solve's products.
     """
     if not is_irreducible(P):
         return None
@@ -447,24 +534,15 @@ def _nominal_certificate(P: SparseStochasticMatrix, objective: Objective,
     if allowance < 0.0:
         return None
     pen, z = objective._penalty_with_dual(x, dual=True)
-    rhs = pen - z
-    v = np.zeros(P.n)
-    res = -rhs
-    terms = 0
-    while eps * float(np.abs(res).max()) > allowance:
-        if terms == _POISSON_TERMS:
-            return None
-        res *= 0.5
-        v += res
-        v -= (v.max() + v.min()) / 2.0
-        res = P.rmatvec(v)
-        res -= v
-        res -= rhs
-        terms += 1
-    u = eps * v                                 # centred, as every term is
+    solved = _poisson_gmres(P, pen - z, allowance / eps)
+    if solved is None:
+        return None
+    v, products = solved
+    v -= (v.max() + v.min()) / 2.0
+    u = eps * v
     if float(np.abs(u).max()) > 1.0:
         return None
-    return _certified(P, objective, x, value, u, z, terms, STOP_NOMINAL)
+    return _certified(P, objective, x, value, u, z, products, STOP_NOMINAL)
 
 
 def _l1g1_lp(P: SparseStochasticMatrix, objective: Objective) -> SolveReport | None:
@@ -568,12 +646,13 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
     same _GAP_TOL.  Where it can (P irreducible and eps at most eps_c), that
     vector is returned with reason nominal, its certificate's bound as
     lower_bound, and no warm start or descent.  Otherwise it declines: with
-    no matvec or rmatvec on a reducible P, else after at most
-    _POISSON_TERMS + 1 rmatvecs and the nominal solve.  Then, where
-    P.n <= _LP_MAX_N, _l1g1_lp solves the LP exactly and returns its
-    solution with reason lp, its certificate's bound as lower_bound and
-    HiGHS's iterations as iterations_used, again with no warm start or
-    descent.  Where both decline, the descent runs as it would without them.
+    no matvec or rmatvec on a reducible P, else after the nominal solve and
+    at most _POISSON_TERMS + 1 rmatvecs, the products of its GMRES solve
+    and one for D.  Then, where P.n <= _LP_MAX_N, _l1g1_lp solves the LP
+    exactly and returns its solution with reason lp, its certificate's
+    bound as lower_bound and HiGHS's iterations as iterations_used, again
+    with no warm start or descent.  Where both decline, the descent runs as
+    it would without them.
     """
     config = config or SolverConfig()
     objective = Objective(P, spec)

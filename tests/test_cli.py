@@ -135,9 +135,9 @@ class TestRank:
         _, second = run_cli(capsys, *args)
         assert first == second
 
-    @pytest.mark.parametrize("tol", ["inf", "3"])
+    @pytest.mark.parametrize("tol", ["3"])
     def test_nominal_tol_of_two_or_more_scores_uniformly(self, capsys, tol):
-        # every simplex vector has residual <= 2, inf included
+        # every simplex vector has residual <= 2
         code, out = run_cli(capsys, "rank", "--model", "model2", "--n", "3",
                             "--solver", "nominal", "--tol", tol)
         assert code == 0
@@ -415,6 +415,18 @@ class TestExitCodes:
         code = main(["rank", "--input", seven_node_file, "--solver", solver, flag, value])
         assert code == 1
         assert capsys.readouterr().err == f"robusteig: error: {message}\n"
+
+    @pytest.mark.parametrize("solver", RANK_SOLVERS)
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_is_a_config_error(self, capsys, solver, tol):
+        # --tol inf once exited 0 and wrote "tol": Infinity, which is not JSON
+        code = main(["rank", "--model", "model2", "--n", "3", "--solver", solver,
+                     "--tol", tol, "--format", "json"])
+        captured = capsys.readouterr()
+        want = "tol must be finite, got inf" if tol == "inf" else "tol must be > 0, got nan"
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"robusteig: error: {want}\n"
 
     @pytest.mark.parametrize("command, flag", [("rank", "--top-k"), ("compare", "--top-k"),
                                                ("stress", "--samples")])

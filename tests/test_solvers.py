@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -253,7 +255,7 @@ class TestDominantEigenvector:
         x = dominant_eigenvector(budget, tol=1e-6)
         assert residual(P, x, "l1") <= 1e-6
 
-    @pytest.mark.parametrize("tol", [2.0, 3.0, float("inf")])
+    @pytest.mark.parametrize("tol", [2.0, 3.0])
     def test_tol_of_two_or_more_returns_the_uniform_vector(self, seven_node, tol):
         # every simplex vector has residual <= 2, so no matvec is needed
         with warnings.catch_warnings():
@@ -750,25 +752,6 @@ def _grid_weights(P, budgets):
     return np.full(P.n, budgets)
 
 
-def _poisson_series(P, spec, tol=1e-10):
-    """The nominal certificate's series as a loop: x = dominant_eigenvector,
-    the g1 dual z there, v and the terms made, for v <- v + (P^T v - v - rhs) / 2
-    from v = 0, rhs = g1(x) - z, centred by its mid-range after each term,
-    until ||P x - x||_1 + eps ||P^T v - v - rhs||_inf <= _GAP_TOL phi(x)."""
-    x = dominant_eigenvector(P, tol)
-    value, _ = norms.Objective(P, spec).evaluate(x)
-    pen, z = norms._g1_with_dual(x, spec.weights(P.n))
-    rhs = pen - z
-    v = np.zeros(P.n)
-    terms = 0
-    while (value.residual_term + spec.epsilon * np.abs(P.rmatvec(v) - v - rhs).max()
-           > solvers._GAP_TOL * value.total):
-        v = v + (P.rmatvec(v) - v - rhs) / 2
-        v -= (v.max() + v.min()) / 2
-        terms += 1
-    return x, z, v, terms
-
-
 def _eps_c(P, c, tol=1e-10):
     """2 / (max v - min v) for the exact solution v of (P - I)^T v = g1(x) - z
     at x = dominant_eigenvector(P, tol), with weights c and g1's dual z there:
@@ -777,7 +760,8 @@ def _eps_c(P, c, tol=1e-10):
     x = dominant_eigenvector(P, tol)
     pen, z = norms._g1_with_dual(x, c)
     v = np.linalg.lstsq(P.to_dense().T - np.eye(P.n), pen - z, rcond=None)[0]
-    return 2.0 / (v.max() - v.min())
+    spread = v.max() - v.min()
+    return 2.0 / spread if spread else math.inf
 
 
 # the small grids of the eps_c measurements: (variant, side, budgets)
@@ -805,31 +789,33 @@ class TestNominalCertificate:
     @pytest.mark.parametrize("variant, side, budgets", SMALL_GRIDS)
     def test_certifies_below_eps_c_and_declines_above(self, monkeypatch, variant, side,
                                                       budgets):
-        # weights c fixed as eps moves, so that eps_c is one number; a decline
-        # costs the series' rmatvecs and no more, a certificate one more for D.
-        # A decline goes on to the descent, not to the LP
+        # weights c fixed as eps moves, so that eps_c is one number.  A
+        # certificate costs the Poisson solve's products and one rmatvec for
+        # D; a decline costs what the certificate alone costs and goes on to
+        # the descent, not to the LP
         monkeypatch.setattr(solvers, "_LP_MAX_N", 0)
         c = _grid_weights(_grid(variant, side), budgets)
         eps_c = _eps_c(_grid(variant, side), c)
         config = SolverConfig(md_epochs=1, md_iters_per_epoch=5)
-        for factor, certified in ((0.5, True), (0.9, True), (1.1, False), (2.0, False)):
+        for factor, certified in ((0.5, True), (0.9, True), (0.99, True),
+                                  (1.01, False), (1.1, False), (2.0, False)):
             eps = factor * eps_c
             spec = UncertaintySpec(eps, NormPair.L1_G1, eps * c)
-            x, z, v, terms = _poisson_series(_grid(variant, side), spec)
             P, counts = _counted(_grid(variant, side))
             report = mirror_descent_minimize(P, spec, config, x0=uniform_vector(P.n))
             if not certified:
+                alone, alone_counts = _counted(_grid(variant, side))
+                objective = norms.Objective(alone, spec)
+                assert solvers._nominal_certificate(alone, objective, config.tol) is None
                 assert report.stop_reason != STOP_NOMINAL
-                assert counts["rmatvec"] == terms + report.iterations_used + 2
+                assert counts["rmatvec"] == alone_counts["rmatvec"] + report.iterations_used + 2
                 continue
             assert report.stop_reason == STOP_NOMINAL
-            assert (report.iterations_used, counts["rmatvec"]) == (terms, terms + 1)
-            assert report.final.tobytes() == x.tobytes()
-            u = eps * v
-            assert np.abs(u).max() <= 1.0
-            assert report.lower_bound == float((P.rmatvec(u) - u + eps * z).min())
+            assert counts["rmatvec"] == report.iterations_used + 1
+            assert report.final.tobytes() == dominant_eigenvector(P, config.tol).tobytes()
             total = report.objective.total
-            assert total == phi_value(P, x, spec)
+            assert total == phi_value(P, report.final, spec)
+            assert report.lower_bound <= total
             assert total - report.lower_bound <= solvers._GAP_TOL * total
 
     def test_a_linear_penalty_is_certified_at_every_eps(self):
@@ -871,14 +857,106 @@ class TestNominalCertificate:
         assert report.stop_reason in (STOP_GAP, STOP_MAX_ITER)
 
     def test_a_series_past_its_budget_declines(self, monkeypatch):
-        monkeypatch.setattr(solvers, "_POISSON_TERMS", 50)
+        # the Poisson solve on this grid needs 38 products
+        monkeypatch.setattr(solvers, "_POISSON_TERMS", 10)
         monkeypatch.setattr(solvers, "_LP_MAX_N", 0)               # the descent follows
         P, counts = _counted(_grid("model2", 20))
         spec = UncertaintySpec(1.0, NormPair.L1_G1, _grid_weights(P, "inv-degree"))
         config = SolverConfig(md_epochs=1, md_iters_per_epoch=5)
         report = mirror_descent_minimize(P, spec, config, x0=uniform_vector(P.n))
         assert (report.stop_reason, report.iterations_used) == (STOP_MAX_ITER, 5)
-        assert counts["rmatvec"] == 50 + 5 + 2
+        assert counts["rmatvec"] == 10 + 5 + 2
+
+    def test_the_periodic_grid_of_side_60_needs_no_lp(self, monkeypatch):
+        # a lazy series ran past 10 000 terms here and HiGHS took 1-2 s
+        P = _grid("model2", 60)
+        spec = UncertaintySpec(1.0, NormPair.L1_G1, _grid_weights(P, "inv-degree"))
+        results = _recorded_linprog(monkeypatch)
+        report = mirror_descent_minimize(P, spec)
+        total = report.objective.total
+        assert results == []
+        assert report.stop_reason == STOP_NOMINAL
+        assert report.lower_bound <= total
+        assert total - report.lower_bound <= solvers._GAP_TOL * total
+
+    @pytest.mark.parametrize("edges, n, weight", [
+        ([(0, 1), (1, 0)], 2, 0.8),                                    # 2-cycle
+        ([(0, 1), (1, 2), (2, 0)], 3, 0.5),                            # 3-cycle
+        ([(i, j) for i in range(3) for j in range(3) if i != j], 3, 0.5),  # K3
+        ([(0, 0), (0, 1), (1, 0), (1, 1)], 2, 0.8),                    # self-loops
+        ([(0, 0)], 1, 0.8),
+    ], ids=["2-cycle", "3-cycle", "K3", "self-loops", "one-node"])
+    def test_an_invariant_krylov_space_ends_the_solve(self, edges, n, weight):
+        # the solve meets an exact zero direction within n products; it
+        # neither divides by it nor warns, and certifies exactly below eps_c
+        P = from_edge_list(edge_list(edges, n))
+        c = np.full(n, weight)
+        eps_c = _eps_c(P, c)
+        for eps in (0.01, 1.0, 10.0):
+            spec = UncertaintySpec(eps, NormPair.L1_G1, eps * c)
+            counted, counts = _counted(from_edge_list(edge_list(edges, n)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = mirror_descent_minimize(counted, spec)
+            assert (report.stop_reason == STOP_NOMINAL) == (eps < eps_c)
+            if report.stop_reason == STOP_NOMINAL:
+                assert report.iterations_used <= n
+                assert counts["rmatvec"] == report.iterations_used + 1
+                assert report.objective.total - report.lower_bound <= \
+                    solvers._GAP_TOL * report.objective.total
+
+
+class TestPoissonGmres:
+    """The Krylov solve of the certificate's Poisson equation."""
+
+    @pytest.mark.parametrize("variant, side", [("model1", 8), ("model1", 20),
+                                               ("model2", 6), ("model2", 20)])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+    def test_the_true_residual_meets_tol(self, variant, side, tol):
+        # the stop reads the residual off the Givens rotations, not off a product
+        P = _grid(variant, side)
+        x = dominant_eigenvector(P, 1e-12)
+        pen, z = norms._g1_with_dual(x, _grid_weights(P, "inv-degree"))
+        rhs = pen - z
+        v, products = solvers._poisson_gmres(P, rhs, tol)
+        assert 0 < products <= solvers._POISSON_TERMS
+        assert np.abs(P.rmatvec(v) - v - rhs).max() <= tol * (1 + 1e-6)
+
+    def test_an_exact_zero_direction_ends_the_solve(self):
+        # on the 4-cycle, (P^T - I) q = -2 q exactly for q = (1, -1, 1, -1) / 2
+        P = from_edge_list(edge_list([(0, 1), (1, 2), (2, 3), (3, 0)], 4))
+        rhs = np.array([0.25, -0.25, 0.25, -0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, products = solvers._poisson_gmres(P, rhs, 0.0)
+        assert products == 1
+        assert np.abs(P.rmatvec(v) - v - rhs).max() == 0.0
+
+    def test_a_right_hand_side_off_the_range_is_declined(self):
+        # (P^T - I) 1 = 0: no step can reduce the residual of rhs = 1
+        P = from_edge_list(edge_list([(0, 1), (1, 0)], 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solvers._poisson_gmres(P, np.ones(2), 1e-3) is None
+
+    def test_the_basis_is_bounded(self, monkeypatch):
+        # restarts every 4 products hold about 4 n-vectors, not the 40 that
+        # the side-20 grid would otherwise keep
+        P = _grid("model1", 20)
+        x = dominant_eigenvector(P, 1e-12)
+        pen, z = norms._g1_with_dual(x, _grid_weights(P, "inv-degree"))
+        peaks = {}
+        for entries in (4 * P.n, solvers._KRYLOV_ENTRIES):
+            monkeypatch.setattr(solvers, "_KRYLOV_ENTRIES", entries)
+            tracemalloc.start()
+            try:
+                solved = solvers._poisson_gmres(P, pen - z, 1e-6)
+                peaks[entries] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert solved is not None
+        assert peaks[4 * P.n] <= (4 + 8) * 8 * P.n
+        assert peaks[solvers._KRYLOV_ENTRIES] > 30 * 8 * P.n
 
 
 def _recorded_linprog(monkeypatch, returned=None):
@@ -1100,6 +1178,18 @@ class TestSolverConfig:
     def test_removed_step_knobs_are_rejected(self, knob):
         with pytest.raises(TypeError):
             SolverConfig(**knob)
+
+
+@pytest.mark.parametrize("tol, message", [(float("inf"), "tol must be finite, got inf"),
+                                          (float("nan"), "tol must be > 0, got nan"),
+                                          (0.0, "tol must be > 0, got 0.0")],
+                         ids=["inf", "nan", "zero"])
+def test_tol_must_be_finite_and_positive(seven_node, tol, message):
+    # tol inf stopped pagerank after one step, and the CLI printed "tol": Infinity
+    for solve in (lambda: SolverConfig(tol=tol), lambda: dominant_eigenvector(seven_node, tol),
+                  lambda: pagerank(seven_node, tol=tol)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve()
 
 
 def test_all_solver_outputs_are_score_vectors(seven_node):
