@@ -3,8 +3,8 @@
 A link j -> i contributes an entry 1/n_j in column j (n_j = out-degree of j).
 Columns with no outgoing links ("dangling") are repaired to the uniform
 distribution over all n nodes, including the node itself.  The uniform repair
-is stored implicitly (a set of column indices plus the 1/n value) so large
-graphs stay sparse.
+is stored implicitly (a sorted array of the column indices plus the 1/n
+value) so large graphs stay sparse.
 
 Edges travel from the text format to the matrix as two int64 arrays, sources
 and destinations.  Canonical text, which is what `edge_list_text` writes, is
@@ -137,8 +137,11 @@ class SparseStochasticMatrix:
     """Column-stochastic matrix: explicit CSC links + implicit uniform columns.
 
     Links in any other form (CSR, COO, a sparse matrix, a dense array) are
-    converted to a CSC array.  Immutable after construction; safe to share
-    across threads.
+    converted to a CSC array.  The dangling column ids, any iterable of
+    integers in [0, n) (else InputError), are kept as one sorted int64
+    index without repeats, which every product and check reads;
+    `dangling_columns`, the frozenset of the same ids, is made from it once.
+    Immutable after construction; safe to share across threads.
 
     `matvec` and `rmatvec` call scipy's compiled kernels, `csc_matvec` and
     `csr_matvec`, on the CSC arrays (read as CSR they are the transpose),
@@ -161,12 +164,10 @@ class SparseStochasticMatrix:
         self.n = n
         self._links = links
         self._csc = (links.indptr, links.indices, links.data)
-        self.dangling_columns = frozenset(int(j) for j in dangling_columns)
         # ascending, so a gather reads what a boolean mask would, in its
         # order, without a pass over all n entries
-        mask = np.zeros(n, dtype=bool)
-        mask[list(self.dangling_columns)] = True
-        self._dangling_index = np.flatnonzero(mask)
+        self._dangling_index = _dangling_index(dangling_columns, n)
+        self.dangling_columns = frozenset(self._dangling_index.tolist())
 
     @property
     def nnz(self) -> int:
@@ -180,7 +181,7 @@ class SparseStochasticMatrix:
             raise InputError(f"vector has shape {x.shape}, expected ({self.n},)")
         y = np.zeros(self.n)
         csc_matvec(self.n, self.n, *self._csc, x, y)
-        if self.dangling_columns:
+        if self._dangling_index.size:
             y += x[self._dangling_index].sum() / self.n
         return y
 
@@ -191,15 +192,13 @@ class SparseStochasticMatrix:
             raise InputError(f"vector has shape {v.shape}, expected ({self.n},)")
         y = np.zeros(self.n)
         csr_matvec(self.n, self.n, *self._csc, v, y)
-        if self.dangling_columns:
+        if self._dangling_index.size:
             y[self._dangling_index] += v.sum() / self.n
         return y
 
     def column_sums(self) -> np.ndarray:
         s = np.asarray(self._links.sum(axis=0)).ravel()
-        if self.dangling_columns:
-            s = s.copy()
-            s[self._dangling_index] += 1.0
+        s[self._dangling_index] += 1.0
         return s
 
     def to_dense(self) -> np.ndarray:
@@ -215,7 +214,25 @@ class SparseStochasticMatrix:
 
     def __repr__(self):
         return (f"SparseStochasticMatrix(n={self.n}, nnz={self.nnz}, "
-                f"dangling={len(self.dangling_columns)})")
+                f"dangling={self._dangling_index.size})")
+
+
+def _dangling_index(ids, n: int) -> np.ndarray:
+    """The dangling column ids, sorted and without repeats, as int64;
+    InputError unless each is an integer (2.0 is, 1.5 is not) in [0, n)."""
+    ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    mask = np.zeros(n, dtype=bool)
+    if ids.size:
+        try:
+            with np.errstate(invalid="ignore"):     # NaN and inf fail the test below
+                index = ids.astype(np.int64)
+            bad = ids.ndim != 1 or (index != ids).any() or _outside(index, n).any()
+        except (OverflowError, ValueError):         # beyond int64, or not numbers
+            bad = True
+        if bad:
+            raise InputError(f"dangling columns must be integer ids in [0, {n})")
+        mask[index] = True
+    return np.flatnonzero(mask)
 
 
 def from_edge_list(edges: EdgeList) -> SparseStochasticMatrix:
@@ -282,18 +299,16 @@ def validate(P: SparseStochasticMatrix, tol: float = COLUMN_SUM_TOL) -> Validati
         coo = P._links.tocoo()
         k = neg[0]
         first_negative = (int(coo.row[k]), int(coo.col[k]), float(coo.data[k]))
-    explicit_counts = np.diff(P._links.indptr)
-    empty = tuple(
-        int(j) for j in np.flatnonzero(explicit_counts == 0) if j not in P.dangling_columns
-    )
-    passed = dev[worst] <= tol and neg.size == 0 and not empty
+    empty = np.diff(P._links.indptr) == 0          # columns that store no link
+    empty[P._dangling_index] = False
+    passed = dev[worst] <= tol and neg.size == 0 and not empty.any()
     return ValidationReport(
         tol=tol,
         max_column_sum_deviation=float(dev[worst]),
         worst_column=worst,
         negative_entry_count=int(neg.size),
         first_negative=first_negative,
-        empty_columns=empty,
+        empty_columns=tuple(np.flatnonzero(empty).tolist()),
         passed=bool(passed),
     )
 

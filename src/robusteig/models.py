@@ -7,7 +7,10 @@ nodes including itself (Model 1; it would otherwise dangle) or links back to
 the origin (Model 2, which makes the chain periodic with period 2n - 1).
 
 The nominal and PageRank scores satisfy explicit one-pass recurrences, which
-makes these graphs exact oracles for the iterative solvers at any size.
+makes these graphs exact oracles for the iterative solvers at any size.  In
+raster order, each cell's score is its in-flow: the shares of its north and
+west neighbours, each split over that neighbour's out-links, plus the
+corner's uniform jump in Model 1.
 """
 
 from __future__ import annotations
@@ -83,33 +86,32 @@ def emit_edge_list(spec: GridModelSpec, path) -> None:
 def _solve_recurrence(n: int, corner_feedback: bool, alpha: float = 1.0) -> np.ndarray:
     """One raster scan of the balance recurrences on the grid.
 
-    With corner_feedback=False (Model 1) every cell receives +1, the uniform
-    in-flow from the corner's jump; with True (Model 2) the constant drops out
-    and the corner feeds only the origin.  alpha < 1 damps every in-flow,
-    giving the PageRank recurrence.  Values stay bounded by N = n^2 (the
-    corner value is exactly N when alpha = 1), so no rescaling is required.
+    Every cell but the origin takes alpha times its in-flow, the shares
+    x / d of its north and west neighbours (d(i, j) = (i < n-1) + (j < n-1),
+    the out-degree edge_list_for gives (i, j); a missing neighbour gives 0)
+    plus a constant.  With corner_feedback=False (Model 1) the constant is
+    1, the uniform in-flow from the corner's jump, and the origin is alpha;
+    with True (Model 2) the constant drops out and the corner feeds only the
+    origin, seeded at 1.  alpha < 1 damps every in-flow, giving the PageRank
+    recurrence.  Values stay bounded by N = n^2 (the corner value is exactly
+    N when alpha = 1), so no rescaling is required.
     """
     if n < 2:
         raise ValueError(f"side length must be >= 2, got {n}")
-    x = np.zeros((n, n))
     add = 1.0 if not corner_feedback else 0.0
     last = n - 1
+
+    def d(i, j):
+        return (i < last) + (j < last)
+
+    # row and column n stay 0: x[-1][j] and x[i][-1], the missing neighbours
+    x = [[0.0] * (n + 1) for _ in range(n + 1)]
+    x[0][0] = alpha if not corner_feedback else 1.0
     for i in range(n):
         for j in range(n):
-            if i == 0 and j == 0:
-                x[0, 0] = alpha if not corner_feedback else 1.0
-            elif i == 0:
-                x[0, j] = alpha * (0.5 * x[0, j - 1] + add)
-            elif j == 0:
-                x[i, 0] = alpha * (0.5 * x[i - 1, 0] + add)
-            elif i == last and j == last:
-                x[i, j] = alpha * (x[i - 1, j] + x[i, j - 1] + add)
-            elif i == last:
-                x[i, j] = alpha * (x[i, j - 1] + 0.5 * x[i - 1, j] + add)
-            elif j == last:
-                x[i, j] = alpha * (x[i - 1, j] + 0.5 * x[i, j - 1] + add)
-            else:
-                x[i, j] = alpha * (0.5 * x[i - 1, j] + 0.5 * x[i, j - 1] + add)
+            if i or j:
+                x[i][j] = alpha * (x[i - 1][j] / d(i - 1, j) + x[i][j - 1] / d(i, j - 1) + add)
+    x = np.array([row[:n] for row in x[:n]])
     if not np.isfinite(x).all():
         raise OverflowError(f"recurrence overflowed for n={n}")
     return x

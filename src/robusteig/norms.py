@@ -517,7 +517,8 @@ class Objective:
         self.spec = spec
         self._l1_residual = spec.pair.residual_norm == "l1"
         self._weights = None if spec.pair is NormPair.L2_L2 else spec.weights(P.n)
-        self._mass = spec.penalty_mass(P.n)
+        self._mass = None if self._weights is None else _mass(
+            self._weights, 1 if self._l1_residual else 2)
 
     def _penalty_with_dual(self, x: np.ndarray,
                            dual: bool) -> tuple[float, np.ndarray | None]:

@@ -191,14 +191,13 @@ def _column_supports(P: SparseStochasticMatrix,
     """
     links = P._links
     supports = []
-    all_rows = np.arange(P.n)
     for j in range(P.n):
-        if j in P.dangling_columns:
-            supports.append(all_rows)
-        else:
-            lo, hi = links.indptr[j], links.indptr[j + 1]
-            rows = links.indices[lo:hi]
-            supports.append(rows if keep is None else rows[keep[lo:hi]])
+        lo, hi = links.indptr[j], links.indptr[j + 1]
+        rows = links.indices[lo:hi]
+        supports.append(rows if keep is None else rows[keep[lo:hi]])
+    all_rows = np.arange(P.n)
+    for j in P._dangling_index.tolist():
+        supports[j] = all_rows
     return supports
 
 
@@ -212,7 +211,7 @@ def _lowest_entry(P: SparseStochasticMatrix, xi: np.ndarray, cols: np.ndarray) -
     """
     links = P._links
     low = float((links.data + xi[links.indices, cols]).min()) if links.nnz else np.inf
-    if P.dangling_columns:
+    if P._dangling_index.size:
         low = min(low, float(1.0 / P.n + xi.min(axis=0)[P._dangling_index].min()))
     return low
 
@@ -305,7 +304,7 @@ def sampled_residuals(P: SparseStochasticMatrix, x: np.ndarray, spec: Uncertaint
     """
     _check_sample_count(n_samples)
     x = np.asarray(x, dtype=float)
-    ord_ = 1 if set_name == "xi1" else 2
+    ord_ = 1 if pair_for_set(set_name).residual_norm == "l1" else 2
     r = P.matvec(x) - x
     realized = []
     all_feasible = True

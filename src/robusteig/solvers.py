@@ -362,9 +362,7 @@ def _halving_schedule(descent: _Descent, config: SolverConfig) -> str:
     for _ in range(config.md_epochs):
         x, g, g_min = descent.best_x, descent.best_g, descent.best_g_min
         for _ in range(config.md_iters_per_epoch):
-            g_inf = max(float(g.max()), -g_min)          # ||g||_inf, no n-array
-            if g_inf == 0.0:                             # x minimizes phi
-                return STOP_TOLERANCE
+            g_inf = max(float(g.max()), -g_min)          # ||g||_inf, > 0 as g . x = phi(x) > 0
             x = _entropic_step(x, g, gamma / g_inf)
             _, g, g_min = descent.evaluate(x)
             if descent.certified():
@@ -395,8 +393,7 @@ def _barzilai_borwein(descent: _Descent, budget: int) -> str:
     g_max = float(g.max())
     step = 1.0 / max(g_max, -g_min)
     while descent.evaluations < budget:
-        if g_max == g_min:                   # phi(y) >= g.y = phi(x) on the simplex
-            return STOP_TOLERANCE
+        # g_max > g_min: at a constant g, min g = g . x = phi(x) certified x
         step = min(step, _MAX_EXPONENT / (g_max - g_min))
         x_new = _entropic_step(x, g, step)
         value, g_new, g_new_min = descent.evaluate(x_new)
@@ -633,9 +630,8 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
     returned as lower_bound; it costs one g.min() per evaluation.  The
     descent stops with reason gap, before the first step or after any
     evaluation, once best phi - lower_bound <= 1e-3 best phi (_GAP_TOL; phi
-    is positive on the simplex); a constant subgradient (x minimizes phi)
-    stops it with reason tolerance; otherwise the budget runs out with
-    reason max_iter.
+    is positive on the simplex); otherwise the budget runs out with reason
+    max_iter.
 
     Unless x0 is given, descent starts from the stopped regularized-power
     iterate (cheap and already good), so the returned objective never exceeds

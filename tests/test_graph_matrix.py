@@ -418,6 +418,50 @@ class TestSolversKeepTheirBytes:
             assert report.stop_reason == route
 
 
+# the 3-node links 0 <-> 1, with column 2 storing no link
+TWO_LINKS = sparse.csc_array(np.array([[0, 1, 0.0], [1, 0, 0], [0, 0, 0]]))
+
+# a matrix from each constructor path, some with columns that store no link
+CONSTRUCTOR_PATHS = {
+    "from_edge_list": lambda: from_edge_list(edge_list([(0, 1), (1, 0), (3, 3)], 5)),
+    "from_dense": lambda: SparseStochasticMatrix.from_dense(TWO_LINKS.toarray()),
+    "set": lambda: SparseStochasticMatrix(TWO_LINKS, {2}),
+    "list": lambda: SparseStochasticMatrix(TWO_LINKS, [2, 2]),
+    "array": lambda: SparseStochasticMatrix(TWO_LINKS, np.array([2])),
+    "none": lambda: SparseStochasticMatrix(TWO_LINKS),
+}
+
+
+class TestDanglingIds:
+    @pytest.mark.parametrize("ids", [[-1], [3], [1.5], [2.7], [np.nan], [2**64],
+                                     np.array([[2]])])
+    def test_ids_outside_or_not_integral_rejected(self, ids):
+        with pytest.raises(InputError, match=r"integer ids in \[0, 3\)$"):
+            SparseStochasticMatrix(TWO_LINKS, ids)
+
+    @pytest.mark.parametrize("ids", [[2, 1, 2], (1, 2, 1), {1, 2}, frozenset({2, 1}),
+                                     np.array([2, 1, 2]), np.array([1, 2], dtype=np.uint8),
+                                     [2.0, 1.0]])
+    def test_ids_in_any_form_give_one_sorted_index(self, ids):
+        P = SparseStochasticMatrix(TWO_LINKS, ids)
+        assert isinstance(P.dangling_columns, frozenset)
+        assert P.dangling_columns == {1, 2}
+        assert {type(j) for j in P.dangling_columns} == {int}
+        assert P._dangling_index.dtype == np.int64
+        assert P._dangling_index.tolist() == [1, 2]
+        assert repr(P) == "SparseStochasticMatrix(n=3, nnz=2, dangling=2)"
+
+    @pytest.mark.parametrize("path", CONSTRUCTOR_PATHS)
+    def test_empty_columns_are_the_ones_the_products_leave_empty(self, path):
+        P = CONSTRUCTOR_PATHS[path]()
+        columns = [P.matvec(e) for e in np.eye(P.n)]
+        report = validate(P)
+        assert report.empty_columns == tuple(j for j, col in enumerate(columns)
+                                             if not col.any())
+        assert report.passed == all(abs(col.sum() - 1.0) <= 1e-12 for col in columns)
+        np.testing.assert_array_equal(P.column_sums(), [col.sum() for col in columns])
+
+
 class TestValidate:
     def test_seven_node_passes_with_zero_deviation(self, seven_node):
         report = validate(seven_node, tol=1e-12)

@@ -6,7 +6,7 @@ from robusteig import (EdgeList, GridModelSpec, ModelVariant, dominant_eigenvect
                        load_edge_list, model1_exact_scores,
                        model1_pagerank_scores, model2_exact_scores, pagerank,
                        residual, validate)
-from robusteig.models import diagonal_ids, edge_list_for, last_row_ids
+from robusteig.models import _solve_recurrence, diagonal_ids, edge_list_for, last_row_ids
 
 
 def spec1(n):
@@ -82,6 +82,40 @@ class TestGenerate:
     def test_side_length_below_two_rejected(self):
         with pytest.raises(ValueError):
             GridModelSpec(1, ModelVariant.MODEL1)
+
+
+def seven_branch_recurrence(n, corner_feedback, alpha):
+    """The grid recurrence with one branch per kind of cell, kept as the
+    reference for the one in-flow line."""
+    x = np.zeros((n, n))
+    add = 1.0 if not corner_feedback else 0.0
+    last = n - 1
+    for i in range(n):
+        for j in range(n):
+            if i == 0 and j == 0:
+                x[0, 0] = alpha if not corner_feedback else 1.0
+            elif i == 0:
+                x[0, j] = alpha * (0.5 * x[0, j - 1] + add)
+            elif j == 0:
+                x[i, 0] = alpha * (0.5 * x[i - 1, 0] + add)
+            elif i == last and j == last:
+                x[i, j] = alpha * (x[i - 1, j] + x[i, j - 1] + add)
+            elif i == last:
+                x[i, j] = alpha * (x[i, j - 1] + 0.5 * x[i - 1, j] + add)
+            elif j == last:
+                x[i, j] = alpha * (x[i - 1, j] + 0.5 * x[i, j - 1] + add)
+            else:
+                x[i, j] = alpha * (0.5 * x[i - 1, j] + 0.5 * x[i, j - 1] + add)
+    return x
+
+
+@pytest.mark.parametrize("corner_feedback", [False, True])
+def test_the_in_flow_recurrence_keeps_the_bits_of_the_seven_branches(corner_feedback):
+    for n in [*range(2, 40), 60]:
+        for alpha in (1.0, 0.85, 0.5, 0.99, 0.1):
+            got = _solve_recurrence(n, corner_feedback, alpha)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, seven_branch_recurrence(n, corner_feedback, alpha))
 
 
 class TestModel1ExactScores:

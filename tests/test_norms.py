@@ -599,6 +599,11 @@ class TestSubgradientPhi:
         g = subgradient_phi(P, np.array([1.0, 0.0]), spec)
         np.testing.assert_allclose(g, [1.5, 0.0], atol=1e-15)
 
+    def test_l2l2_at_zero_takes_the_zero_subgradient(self, seven_node):
+        # P 0 - 0 = 0 and ||0||_2 = 0: 0 is a subgradient of both norms there
+        g = subgradient_phi(seven_node, np.zeros(7), UncertaintySpec(1.5, NormPair.L2_L2))
+        assert g.tobytes() == np.zeros(7).tobytes()
+
     @pytest.mark.parametrize("pair", list(NormPair))
     def test_subgradient_inequality_on_random_instances(self, pair):
         P = SparseStochasticMatrix.from_dense(random_stochastic_dense(5, seed=7))

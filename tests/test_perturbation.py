@@ -85,9 +85,11 @@ class TestPerturbationBound:
         xi_star = 0.5 * np.outer([1.0, 0.0], [0.0, 1.0])
         np.testing.assert_allclose(xi_star, [[0, 0.5], [0, 0]])
 
-    def test_zero_left_vector_falls_back(self):
-        report = check_perturbation_bound(np.zeros(2), np.array([1.0, 0.0]),
-                                          eps=2.0, n_samples=100, rng_seed=1)
+    @pytest.mark.parametrize("a, b", [(np.zeros(2), np.array([1.0, 0.0])),
+                                      (np.zeros(1), np.array([1.0]))],
+                             ids=["two-entries", "one-entry"])
+    def test_zero_left_vector_falls_back(self, a, b):
+        report = check_perturbation_bound(a, b, eps=2.0, n_samples=100, rng_seed=1)
         assert report.bound == pytest.approx(2.0)
         assert report.equality_gap <= 1e-10
 
@@ -363,16 +365,20 @@ class TestEmpiricalLowerBound:
                     "xif", n_samples=n_samples)
         assert calls == []
 
-    def test_unknown_set_rejected_as_pair_for_set_words_it(self, seven_node):
+    def test_unknown_set_rejected_as_pair_for_set_words_it(self, seven_node, monkeypatch):
         with pytest.raises(ValueError) as want:
             pair_for_set("bogus")
+        products = []
+        monkeypatch.setattr(seven_node, "matvec", lambda x: products.append(x))
         spec = UncertaintySpec(1.0, NormPair.L2_L2)
+        x = uniform_vector(7)
         for call in (lambda: sample_perturbation(seven_node, spec, "bogus"),
-                     lambda: empirical_phi_lower_bound(seven_node, uniform_vector(7), spec,
-                                                       "bogus")):
+                     lambda: sampled_residuals(seven_node, x, spec, "bogus"),
+                     lambda: empirical_phi_lower_bound(seven_node, x, spec, "bogus")):
             with pytest.raises(ValueError) as got:
                 call()
             assert str(got.value) == str(want.value)
+        assert products == []
 
     def test_mismatched_pair_rejected(self, seven_node):
         spec = UncertaintySpec(1.0, NormPair.L2_L2)

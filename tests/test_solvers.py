@@ -736,6 +736,17 @@ class TestGapCertificate:
         assert counts["matvec"] <= report.iterations_used + setup
         assert counts["rmatvec"] <= report.iterations_used + setup
 
+    @pytest.mark.parametrize("pair", [NormPair.L2_L2, NormPair.L1_G1])
+    def test_a_constant_subgradient_certifies_the_start(self, monkeypatch, pair):
+        # every x is a fixed point of the identity, and at the uniform point
+        # the subgradient, eps x / ||x||_2 or eps c, is constant: min g =
+        # g . x = phi(x), so the gap stop fires before any step
+        monkeypatch.setattr(solvers, "_nominal_certificate", lambda *args: None)
+        monkeypatch.setattr(solvers, "_LP_MAX_N", 0)
+        P = SparseStochasticMatrix.from_dense(np.eye(4))
+        report = mirror_descent_minimize(P, UncertaintySpec(1.0, pair), x0=uniform_vector(4))
+        assert (report.stop_reason, report.iterations_used) == (STOP_GAP, 0)
+
     def test_other_solvers_leave_it_unset(self, seven_node):
         assert pagerank(seven_node).lower_bound is None
         assert regularized_power_method(seven_node, L2L2).lower_bound is None
@@ -855,6 +866,17 @@ class TestNominalCertificate:
         report = mirror_descent_minimize(_grid("model2", 6), UncertaintySpec(0.1, pair, 0.03),
                                          config)
         assert report.stop_reason in (STOP_GAP, STOP_MAX_ITER)
+
+    def test_a_coarse_nominal_vector_declines_before_the_poisson_solve(self, monkeypatch):
+        # at tol 1e-2 the nominal vector's residual alone passes 1e-3 phi
+        def refuse(*args):
+            raise AssertionError("the Poisson equation was solved")
+
+        monkeypatch.setattr(solvers, "_poisson_gmres", refuse)
+        P = _grid("model2", 6)
+        spec = UncertaintySpec(1.0, NormPair.L1_G1, _grid_weights(P, "inv-degree"))
+        assert solvers._nominal_certificate(P, norms.Objective(P, spec), 1e-2) is None
+        assert mirror_descent_minimize(P, spec, SolverConfig(tol=1e-2)).stop_reason == STOP_LP
 
     def test_a_series_past_its_budget_declines(self, monkeypatch):
         # the Poisson solve on this grid needs 38 products
@@ -1069,6 +1091,20 @@ class TestL1g1LP:
         report = mirror_descent_minimize(seven_node, spec, config)
         assert results == []
         assert (report.stop_reason, report.iterations_used) == (STOP_MAX_ITER, 60)
+
+    def test_the_halving_schedule_stops_on_the_gap(self, monkeypatch):
+        # on the identity phi is eps g1(x) = 0.9 x_0 + 0.1 x_1, whose
+        # subgradient (0.9, 0.1) certifies the descent once x_0 is small
+        monkeypatch.setattr(solvers, "_LP_MAX_N", 0)           # P is reducible
+        P = SparseStochasticMatrix.from_dense(np.eye(2))
+        spec = UncertaintySpec(1.0, NormPair.L1_G1, np.array([0.9, 0.1]))
+        config = SolverConfig(md_epochs=3, md_iters_per_epoch=20)
+        report = mirror_descent_minimize(P, spec, config, x0=uniform_vector(2))
+        total = report.objective.total
+        assert report.stop_reason == STOP_GAP
+        assert 0 < report.iterations_used < 60
+        assert report.lower_bound == pytest.approx(0.1, abs=1e-15)
+        assert total - report.lower_bound <= solvers._GAP_TOL * total
 
     @pytest.mark.parametrize("failure", ["status-2", "certificate"])
     def test_a_failed_lp_falls_back_to_the_descent(self, monkeypatch, seven_node, failure):
