@@ -19,6 +19,7 @@ off the sorted keys, with no COO stage.  `EdgeList.edges`, the tuple of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -250,7 +251,10 @@ def from_edge_list(edges: EdgeList) -> SparseStochasticMatrix:
     # of sorted(set(pairs)); np.unique would do, but since numpy 2.3 it goes
     # through a hash table, 30 times slower here than the sort
     keys = np.sort(edges._src * n + edges._dst)
-    src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    first = np.empty(keys.size, dtype=bool)         # each key's first copy
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    src, dst = np.divmod(keys[first], n)
     out_degree = np.bincount(src, minlength=n)
     indptr = np.concatenate(([0], np.cumsum(out_degree)))   # keys sort by column
     links = sparse.csc_array((1.0 / out_degree[src], dst, indptr), shape=(n, n))
@@ -264,27 +268,70 @@ def out_degrees(P: SparseStochasticMatrix) -> np.ndarray:
     return deg
 
 
-def is_irreducible(P: SparseStochasticMatrix) -> bool:
-    """Whether every node of P reaches every other along its links.
+def _closed_classes(P: SparseStochasticMatrix):
+    """The strong components of P's link graph, and which of them are closed.
 
-    One pass over the strong components of the link graph
-    (scipy.sparse.csgraph), no matvec.  Following links, every node reaches
-    a closed component, one that no link leaves.  A dangling node is closed
-    in the link graph but links to all n nodes in P; any other closed
-    component, beside a second component, reaches no node outside it.  So
-    P is irreducible when the link graph is one component, or when every
-    closed component is a dangling node.
+    One pass of scipy.sparse.csgraph, no matvec.  Returns the link graph as
+    CSR (row j holds the nodes j links to), the source node of each of its
+    links, the component label of each node, and a mask over the components
+    of the closed ones: those that no link leaves and that hold no dangling
+    node.  A dangling node is closed in the link graph but links to all n
+    nodes in P, so its component is not closed in P.
     """
     links_t = P._links.T            # a CSR view of the same arrays
     count, labels = csgraph.connected_components(links_t, directed=True,
                                                  connection="strong")
-    if count == 1:
-        return True
-    tail = labels[np.repeat(np.arange(P.n), np.diff(links_t.indptr))]
+    source = np.repeat(np.arange(P.n), np.diff(links_t.indptr))
+    tail = labels[source]
     closed = np.ones(count, dtype=bool)
     closed[tail[tail != labels[links_t.indices]]] = False
     closed[labels[P._dangling_index]] = False
-    return not closed.any()
+    return links_t, source, labels, closed
+
+
+def is_irreducible(P: SparseStochasticMatrix) -> bool:
+    """Whether every node of P reaches every other along its links.
+
+    One pass over the strong components of the link graph, no matvec,
+    shared with cyclic_period (_closed_classes).  Following links, every
+    node reaches a closed component, one that no link leaves.  A dangling
+    node's component is not closed in P, whose dangling columns link to all
+    n nodes; any other closed component, beside a second component,
+    reaches no node outside it.  So P is irreducible when the link graph is
+    one component, or when no component is closed in P.
+    """
+    _, _, _, closed = _closed_classes(P)
+    return closed.size == 1 or not closed.any()
+
+
+def cyclic_period(P: SparseStochasticMatrix) -> int:
+    """The lcm of the periods of P's closed classes, 1 if none is closed.
+
+    A closed class of period d puts exactly the d-th roots of unity among
+    P's eigenvalues, semisimple (Perron-Frobenius for cyclic matrices;
+    Meyer, Matrix Analysis, 8.4), and the transient nodes add none of
+    modulus 1; so an average of a multiple of the returned period of
+    consecutive power terms cancels every unit-circle eigenvalue but 1.
+
+    No matvec: the strong-component pass of _closed_classes, then one
+    breadth-first pass from one root per closed class.  A closed class
+    reaches only itself, so each of its nodes gets its level below its own
+    class's root, and the class's period is the gcd of level(u) + 1 -
+    level(v) over its links u -> v.  The lcm is taken on Python ints.
+    """
+    links_t, source, labels, closed = _closed_classes(P)
+    if not closed.any():
+        return 1
+    root = np.empty(closed.size, dtype=np.int64)
+    root[labels] = np.arange(P.n)                   # some node of each class
+    level = csgraph.dijkstra(links_t, indices=root[closed], unweighted=True,
+                             min_only=True)
+    inside = closed[labels[source]]       # a closed class's links stay in it
+    tail, head = source[inside], links_t.indices[inside]
+    shift = (level[tail] + 1.0 - level[head]).astype(np.int64)
+    period = np.zeros(closed.size, dtype=np.int64)
+    np.gcd.at(period, labels[tail], shift)
+    return math.lcm(*period[closed].tolist())
 
 
 def validate(P: SparseStochasticMatrix, tol: float = COLUMN_SUM_TOL) -> ValidationReport:

@@ -28,6 +28,10 @@ SEVEN_NODE_DENSE = np.array([
 # its dominant eigenvector: all mass on the absorbing 2-cycle {5, 6}
 SEVEN_NODE_XBAR = np.array([0, 0, 0, 0, 0, 0.5, 0.5])
 
+# 0 -> 1 -> 2 -> {0, 3..9} -> 1: a chain of period 3, whose power terms never settle
+PERIOD_3_EDGES = ([(0, 1), (1, 2), (2, 0)] + [(2, j) for j in range(3, 10)]
+                  + [(j, 1) for j in range(3, 10)])
+
 
 @pytest.fixture(scope="session")
 def seven_node():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,8 @@ from robusteig.graph_matrix import (_parse_canonical, _parse_general, edge_list_
 from robusteig.models import edge_list_for
 from robusteig.solvers import STOP_LP, STOP_NOMINAL
 
-from conftest import SEVEN_NODE_DENSE, SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, web_graph
+from conftest import (PERIOD_3_EDGES, SEVEN_NODE_DENSE, SEVEN_NODE_EDGES, SEVEN_NODE_XBAR,
+                      web_graph)
 
 
 def reference_from_edge_list(edges: EdgeList):
@@ -538,6 +540,68 @@ class TestIsIrreducible:
                  rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))]
         P = from_edge_list(EdgeList(tuple(edges), n))
         assert graph_matrix.is_irreducible(P) == reachable_everywhere(P)
+
+
+def reference_period(P) -> int:
+    """The lcm over P's closed classes of the gcd of the k <= n at which
+    some node of the class returns to itself in k steps, read off boolean
+    powers of the dense P (a dangling column links to every node)."""
+    step = P.to_dense() > 0                 # step[i, j]: j links to i
+    reach = step | np.eye(P.n, dtype=bool)
+    for _ in range(max(1, P.n).bit_length()):
+        reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+    period = 1
+    for j in range(P.n):
+        ahead = reach[:, j]                 # the nodes j reaches
+        if not reach[j, ahead].all() or np.flatnonzero(ahead & reach[j])[0] != j:
+            continue                        # not closed, or not its class's first node
+        cls = np.flatnonzero(ahead)
+        block = step[np.ix_(cls, cls)].astype(np.int64)
+        power, g = np.eye(cls.size, dtype=np.int64), 0
+        for k in range(1, cls.size + 1):
+            power = np.minimum(power @ block, 1)
+            if power.diagonal().any():
+                g = math.gcd(g, k)
+        period = math.lcm(period, g)
+    return period
+
+
+class TestCyclicPeriod:
+    @pytest.mark.parametrize("side", [2, 3, 20, 60])
+    def test_model2_grid_has_period_2s_minus_1(self, side):
+        P = generate(GridModelSpec(side, ModelVariant.MODEL2))
+        assert graph_matrix.cyclic_period(P) == 2 * side - 1
+
+    @pytest.mark.parametrize("edges, n, want", [
+        (PERIOD_3_EDGES, 10, 3),
+        (SEVEN_NODE_EDGES, 7, 2),                        # closed class {5, 6}
+        ([(0, 1), (1, 2)], 3, 1),                        # only dangling node 2 closed
+        ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3)], 8, 15),
+        ([(0, 1), (1, 0), (0, 0)], 2, 1),                # a self-loop
+        ([(0, 1), (1, 0), (2, 0)], 4, 2),                # a closed class beside dangling 3
+        ([], 1, 1),
+    ])
+    def test_small_graphs(self, edges, n, want):
+        assert graph_matrix.cyclic_period(from_edge_list(edge_list(edges, n))) == want
+
+    def test_model1_grid_is_aperiodic(self):
+        P = generate(GridModelSpec(30, ModelVariant.MODEL1))
+        assert graph_matrix.cyclic_period(P) == 1
+
+    def test_returns_a_python_int(self):
+        assert type(graph_matrix.cyclic_period(web_graph(500, 3))) is int
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_matches_dense_closed_walks(self, seed):
+        # sparse random graphs, where cycles of several lengths and several
+        # closed classes are common
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 10))
+        edges = [(int(s), int(d)) for s, d in
+                 rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))]
+        P = from_edge_list(EdgeList(tuple(edges), n))
+        assert graph_matrix.cyclic_period(P) == reference_period(P)
 
 
 class TestResidual:

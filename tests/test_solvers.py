@@ -19,7 +19,7 @@ from robusteig.models import GridModelSpec, ModelVariant, model2_exact_scores
 from robusteig.solvers import (STOP_GAP, STOP_LP, STOP_MAX_ITER, STOP_NOMINAL,
                                STOP_PHI_INCREASE, STOP_TOLERANCE, _entropic_step)
 
-from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, _g2_scan_loop,
+from conftest import (PERIOD_3_EDGES, SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, _g2_scan_loop,
                       _regularized_power_method_two_matvecs,
                       _restarted_cesaro_rounds,
                       random_stochastic_dense, web_graph)
@@ -27,10 +27,6 @@ from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, _g2_scan_loop,
 L2L2 = UncertaintySpec(1.0, NormPair.L2_L2)
 
 SWAP = SparseStochasticMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
-
-# 0 -> 1 -> 2 -> {0, 3..9} -> 1: a chain of period 3, whose power terms never settle
-PERIOD_3_EDGES = ([(0, 1), (1, 2), (2, 0)] + [(2, j) for j in range(3, 10)]
-                  + [(j, 1) for j in range(3, 10)])
 
 
 def pagerank_linear_solve(P, alpha):
@@ -88,6 +84,22 @@ class TestPagerank:
         assert report.iterations_used == k
         assert report.final.tobytes() == x.tobytes()
 
+    @pytest.mark.parametrize("max_iter", [1, 3, 100_000])
+    def test_one_matvec_per_iteration_and_one_more(self, max_iter):
+        # the start's product serves its objective and the first step, and
+        # the last iterate's product its objective
+        P = web_graph(3000, 4)
+        counter = MatvecBudget(P, 10**12)
+        report = pagerank(counter, alpha=0.85, tol=1e-10, max_iter=max_iter)
+        assert 10**12 - counter.budget == report.iterations_used + 1
+        want = pagerank(P, alpha=0.85, tol=1e-10, max_iter=max_iter)
+        assert report.final.tobytes() == want.final.tobytes()
+        objective = norms.Objective(P, L2L2)
+        e = uniform_vector(P.n)
+        assert report.phi_history == [
+            (0, objective.evaluate(e)[0].total),
+            (report.iterations_used, objective.evaluate(report.final)[0].total)]
+
     def test_max_iter_reported(self, seven_node):
         report = pagerank(seven_node, alpha=0.85, tol=1e-12, max_iter=3)
         assert report.stop_reason == STOP_MAX_ITER
@@ -99,10 +111,16 @@ class TestPagerank:
 
 
 class MatvecBudget:
-    """A matrix that refuses matvecs beyond a fixed budget."""
+    """A matrix that refuses matvecs beyond a fixed budget.
+
+    It holds the inner matrix's link arrays too, which
+    graph_matrix.cyclic_period reads, so that a budgeted solve runs the
+    period pass as the plain matrix would.
+    """
 
     def __init__(self, inner, budget):
         self.inner, self.n, self.budget = inner, inner.n, budget
+        self._links, self._dangling_index = inner._links, inner._dangling_index
 
     def matvec(self, x):
         if self.budget == 0:
@@ -220,14 +238,44 @@ class TestDominantEigenvector:
             term = seven_node.matvec(term)
         np.testing.assert_array_equal(x, term)
 
-    @pytest.mark.parametrize("tol, plain_count", [(1e-8, 1984), (1e-10, 4032)])
-    def test_periodic_grid_gives_the_plain_rounds_bit_for_bit(self, tol, plain_count):
-        P = generate(GridModelSpec(20, ModelVariant.MODEL2))
-        want, count = count_matvecs(_restarted_cesaro_rounds, P, tol)
-        assert count == plain_count
-        budget = MatvecBudget(P, count)
-        np.testing.assert_array_equal(dominant_eigenvector(budget, tol), want)
-        assert budget.budget == 0
+    @pytest.mark.parametrize("side, budget", [(10, 200), (20, 250), (60, 320)])
+    def test_periodic_grid_meets_tol_within_whole_period_rounds(self, side, budget):
+        # Model 2 of side s has period 2s - 1.  Rounds of a whole number of
+        # periods cancel its other unit-circle eigenvalues exactly; plain
+        # doubling rounds, which shrink them only like 1/K, take 1984 (1e-8)
+        # and 4032 (1e-10) matvecs on side 20
+        P = generate(GridModelSpec(side, ModelVariant.MODEL2))
+        for tol in (1e-8, 1e-10):
+            x = dominant_eigenvector(MatvecBudget(P, budget), tol)
+            assert residual(P, x, "l1") <= tol
+            assert np.abs(x - model2_exact_scores(side)).sum() <= 1e-9
+
+    @pytest.mark.parametrize("graph, tol, plain_count", [
+        ("seven-node", 1e-4, 128), ("seven-node", 1e-10, 448),
+        ("model1", 1e-10, 704), ("web-14", 1e-3, 960),
+    ])
+    def test_period_dividing_64_keeps_the_doubling_rounds_bit_for_bit(
+            self, seven_node, monkeypatch, graph, tol, plain_count):
+        # periods 2 (the seven-node graph's cycle {5, 6}) and 1 divide every
+        # round length, so the rounds are those of plain doubling, the solve
+        # with the period taken as 1; plain_count is their matvec count
+        P = {"seven-node": seven_node,
+             "model1": generate(GridModelSpec(30, ModelVariant.MODEL1)),
+             "web-14": web_graph(2000, 14)}[graph]
+        got, count = count_matvecs(dominant_eigenvector, P, tol)
+        monkeypatch.setattr(solvers, "cyclic_period", lambda P: 1)
+        want, want_count = count_matvecs(dominant_eigenvector, P, tol)
+        assert count == want_count == plain_count
+        assert got.tobytes() == want.tobytes()
+
+    def test_first_round_that_meets_tol_runs_no_period_pass(self, monkeypatch):
+        def refuse(P):
+            raise AssertionError("the period pass ran")
+
+        monkeypatch.setattr(solvers, "cyclic_period", refuse)
+        P = web_graph(2000, 1)
+        x = dominant_eigenvector(P, 1e-3)
+        assert residual(P, x, "l1") <= 1e-3
 
     @pytest.mark.parametrize("graph, tols", [
         ("seven-node", (0.5, 0.02, 1e-4, 1e-6, 1e-10)),
