@@ -144,6 +144,11 @@ class SparseStochasticMatrix:
     `dangling_columns`, the frozenset of the same ids, is made from it once.
     Immutable after construction; safe to share across threads.
 
+    is_irreducible and cyclic_period keep their results on the matrix, a
+    bool and an int, so that each strong-component pass runs once per
+    matrix; two threads that ask at once may both run it, to the same
+    result.
+
     `matvec` and `rmatvec` call scipy's compiled kernels, `csc_matvec` and
     `csr_matvec`, on the CSC arrays (read as CSR they are the transpose),
     the kernels `links @ x` ends in, so every product keeps its bits.  They
@@ -169,6 +174,9 @@ class SparseStochasticMatrix:
         # order, without a pass over all n entries
         self._dangling_index = _dangling_index(dangling_columns, n)
         self.dangling_columns = frozenset(self._dangling_index.tolist())
+        # is_irreducible(self) and cyclic_period(self), once either is asked
+        self._irreducible: bool | None = None
+        self._period: int | None = None
 
     @property
     def nnz(self) -> int:
@@ -293,15 +301,23 @@ def is_irreducible(P: SparseStochasticMatrix) -> bool:
     """Whether every node of P reaches every other along its links.
 
     One pass over the strong components of the link graph, no matvec,
-    shared with cyclic_period (_closed_classes).  Following links, every
-    node reaches a closed component, one that no link leaves.  A dangling
-    node's component is not closed in P, whose dangling columns link to all
-    n nodes; any other closed component, beside a second component,
-    reaches no node outside it.  So P is irreducible when the link graph is
-    one component, or when no component is closed in P.
+    shared with cyclic_period (_closed_classes), and none once either has
+    run on P, which keeps the answer.  Following links, every node reaches
+    a closed component, one that no link leaves.  A dangling node's
+    component is not closed in P, whose dangling columns link to all n
+    nodes; any other closed component, beside a second component, reaches
+    no node outside it.  So P is irreducible when the link graph is one
+    component, or when no component is closed in P.
     """
-    _, _, _, closed = _closed_classes(P)
-    return closed.size == 1 or not closed.any()
+    if P._irreducible is None:
+        _, _, _, closed = _closed_classes(P)
+        P._irreducible = _irreducible(closed)
+    return P._irreducible
+
+
+def _irreducible(closed: np.ndarray) -> bool:
+    """Whether P is irreducible, from the mask of its closed components."""
+    return bool(closed.size == 1 or not closed.any())
 
 
 def cyclic_period(P: SparseStochasticMatrix) -> int:
@@ -314,12 +330,22 @@ def cyclic_period(P: SparseStochasticMatrix) -> int:
     consecutive power terms cancels every unit-circle eigenvalue but 1.
 
     No matvec: the strong-component pass of _closed_classes, then one
-    breadth-first pass from one root per closed class.  A closed class
-    reaches only itself, so each of its nodes gets its level below its own
-    class's root, and the class's period is the gcd of level(u) + 1 -
-    level(v) over its links u -> v.  The lcm is taken on Python ints.
+    breadth-first pass from one root per closed class, and neither after
+    the first call on P, which keeps the period (and is_irreducible's
+    answer, read off the same pass).  A closed class reaches only itself,
+    so each of its nodes gets its level below its own class's root, and
+    the class's period is the gcd of level(u) + 1 - level(v) over its links
+    u -> v.  The lcm is taken on Python ints.
     """
+    if P._period is None:
+        P._period = _cyclic_period(P)
+    return P._period
+
+
+def _cyclic_period(P: SparseStochasticMatrix) -> int:
+    """cyclic_period(P), computed; records is_irreducible(P) on the way."""
     links_t, source, labels, closed = _closed_classes(P)
+    P._irreducible = _irreducible(closed)
     if not closed.any():
         return 1
     root = np.empty(closed.size, dtype=np.int64)
@@ -362,9 +388,10 @@ def validate(P: SparseStochasticMatrix, tol: float = COLUMN_SUM_TOL) -> Validati
 
 def residual(P: SparseStochasticMatrix, x: np.ndarray, norm: str = "l1") -> float:
     """Return ||P x - x|| in the chosen norm; zero iff x is a fixed point."""
-    r = P.matvec(x) - np.asarray(x, dtype=float)
+    r = P.matvec(x)
+    r -= np.asarray(x, dtype=float)
     if norm == "l1":
-        return float(np.abs(r).sum())
+        return float(np.abs(r, out=r).sum())
     if norm == "l2":
         return float(np.linalg.norm(r))
     raise InputError(f"unknown norm: {norm!r}")

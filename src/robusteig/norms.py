@@ -26,15 +26,20 @@ to n/8, until their mass reaches 1; past n/8 the full stable sort runs.  g1
 is then the greedy fill of z over its candidates, and g2 the first
 consistent slot among its.  Each arithmetic is defined by the candidates
 alone, so a loop over them reproduces it bit for bit, whichever probe found
-them.
+them.  g1 and g2 start at k = 32; an Objective starts each search at the
+candidate count of its last one, grown by a quarter (see _Probe), so along
+a descent one probe and one sort of about that many entries find them.
 
 :class:`Objective` is the one place where phi and its subgradient are
 computed.  Built once per (P, spec), it caches the weights c and their mass
 spec.penalty_mass(n); one evaluation costs one P.matvec (none when the
 caller hands in P x) and one penalty evaluation, plus one P.rmatvec and the
-penalty's dual vector when the subgradient is asked for.  phi, phi_value and
-subgradient_phi are thin calls into it, and the solvers hold one for the
-length of a solve.
+penalty's dual vector when the subgradient is asked for.  It computes the
+residual, its norm and the subgradient in place, in the product it makes
+and in the arrays that the rmatvec and the penalty return: one evaluation
+with its subgradient peaks at 2 to 5 n-vectors, where a new array for each
+step peaked at 7.  phi, phi_value and subgradient_phi are thin calls into
+it, and the solvers hold one for the length of a solve.
 """
 
 from __future__ import annotations
@@ -183,6 +188,27 @@ def _tops(a: np.ndarray, k: int):
         k = min(k * _PROBE_GROWTH, cap)
 
 
+class _Probe:
+    """The size of the first top that _candidates probes, carried from one
+    search to the next.
+
+    _FIRST_PROBE at first.  After a search that found m candidates among n
+    keys it is m grown by a quarter, at least _FIRST_PROBE and at most
+    n // _PROBE_GROWTH, the last probe of _tops: where the next key has
+    about as many candidates, as along a descent, its first probe holds
+    them, and no sort runs on a smaller top that falls short.  Which probe
+    finds the candidates changes no bit of them.
+    """
+
+    __slots__ = ("k",)
+
+    def __init__(self):
+        self.k = _FIRST_PROBE
+
+    def carry(self, m: int, n: int) -> None:
+        self.k = max(_FIRST_PROBE, min(m + m // 4, n // _PROBE_GROWTH))
+
+
 def _stable_argsort(b: np.ndarray) -> np.ndarray:
     """np.argsort(b, kind="stable") for b without NaN, at less cost past 1e3 entries.
 
@@ -273,8 +299,8 @@ def _boxed(c: np.ndarray, p: int, order: np.ndarray) -> np.ndarray:
     return np.add.accumulate(w[::-1])
 
 
-def _candidates(key: np.ndarray, c: np.ndarray,
-                p: int) -> tuple[np.ndarray, np.ndarray]:
+def _candidates(key: np.ndarray, c: np.ndarray, p: int,
+                probe: _Probe | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The candidates of key >= 0, and boxed[b - 1], the c^p mass of their last b.
 
     The candidates are the shortest top of key, in stable ascending order
@@ -282,13 +308,14 @@ def _candidates(key: np.ndarray, c: np.ndarray,
     all of the entries with key > 0 when none does.  They are found by
     selection, as projections onto the l1 ball are (Duchi et al. 2008): the
     top k entries, for each k of _tops until their mass reaches 1, and only
-    those are sorted.  The full stable sort runs where _tops finds no such
-    top: below n = 8 * _FIRST_PROBE, with NaN or inf among the largest,
-    with ties past n / _PROBE_GROWTH entries, and when no top of
-    n / _PROBE_GROWTH entries reaches 1.  Either way the candidates, and so
-    every bit computed from them, are the same.
+    those are sorted.  The first k is probe.k, which the search then carries
+    on (see _Probe), or _FIRST_PROBE without a probe.  The full stable sort
+    runs where _tops finds no such top: below n = 8 * _FIRST_PROBE, with NaN
+    or inf among the largest, with ties past n / _PROBE_GROWTH entries, and
+    when no top of n / _PROBE_GROWTH entries reaches 1.  Whatever the first
+    k, the candidates, and so every bit computed from them, are the same.
     """
-    for top in _tops(key, _FIRST_PROBE):
+    for top in _tops(key, _FIRST_PROBE if probe is None else probe.k):
         order = top[_stable_argsort(key[top])]
         boxed = _boxed(c, p, order)
         if boxed[-1] >= 1.0:
@@ -298,11 +325,15 @@ def _candidates(key: np.ndarray, c: np.ndarray,
         order = idx[np.argsort(key[idx], kind="stable")]
         boxed = _boxed(c, p, order)
     j = int(boxed.searchsorted(1.0))
-    return order[max(order.size - j - 1, 0):], boxed[:j + 1]
+    cand = order[max(order.size - j - 1, 0):]
+    if probe is not None:
+        probe.carry(cand.size, key.size)
+    return cand, boxed[:j + 1]
 
 
 def _g1_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
-                  dual: bool = True) -> tuple[float, np.ndarray | None]:
+                  dual: bool = True, probe: _Probe | None = None
+                  ) -> tuple[float, np.ndarray | None]:
     """g1 value and optimizing dual z of max{z.x : ||z||_1 <= 1, |z_j| <= c_j}.
 
     The box value when box_fits(sum_j c_j over the support).  Otherwise z
@@ -311,15 +342,17 @@ def _g1_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
     is left.  Only the candidates of |x| with weights c are filled, and the
     value is their fill times |x_j| summed one at a time from the largest
     down; by LP duality it is min_{t >= 0} t + sum_j c_j (|x_j| - t)_+.
-    mass is _mass(c, 1), which callers holding c may cache.  With dual
-    False, z is not built (None), and the value keeps its bits.
+    mass is _mass(c, 1), which callers holding c may cache, and probe the
+    first top to search for the candidates, which they may carry from call
+    to call (see _Probe).  With dual False, z is not built (None), and the
+    value keeps its bits.
     """
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     support, mass = _support_mass(a, c, 1, mass)
     if box_fits(mass):
         return _box(x, a, c, support, dual)
-    cand, boxed = _candidates(a, c, 1)
+    cand, boxed = _candidates(a, c, 1, probe)
     fill = c[cand]                             # ascending: fill[0] is filled last
     fill[0] = min(fill[0], 1.0 - (boxed[-1] - fill[0]))
     value = float(np.add.accumulate((fill * a[cand])[::-1])[-1])
@@ -337,8 +370,8 @@ _G2_TOP = 400
 
 
 def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
-                  rescaled: bool = False, dual: bool = True
-                  ) -> tuple[float, np.ndarray | None]:
+                  rescaled: bool = False, dual: bool = True,
+                  probe: _Probe | None = None) -> tuple[float, np.ndarray | None]:
     """g2 value and optimizing dual z of max{z.x : ||z||_2 <= 1, |z_j| <= c_j}.
 
     The optimal z clamps x/rho at the box, z_j = clamp(x_j / rho, +-c_j); rho
@@ -357,16 +390,18 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
     boxed squares would lose the uncapped mass when the boxed entries hold
     nearly all of it.)
 
-    mass is _mass(c, 2), which callers holding c may cache.  A mass above 1
-    only by rounding can leave no slot consistent; g2 is then the box value.
-    Squares that underflow (|x_j| below about 1e-154, as on the entries an
-    entropic descent drives out) can too: the scan is then redone, once, on
-    x scaled by a power of two to max |x_j| just below 2^_G2_TOP, which
-    changes no bit of the arithmetic but the underflow.  Entries whose
-    squares still underflow, below about 2^-911 of the largest, are dropped:
-    they add at most n 2^-911 max |x_j| to the value, and z_j = 0 there
-    keeps z dual feasible.  With dual False, z is not built (None), and the
-    value keeps its bits.
+    mass is _mass(c, 2), which callers holding c may cache, and probe the
+    first top to search for the candidates, which they may carry from call
+    to call (see _Probe).  A mass above 1 only by rounding can leave no
+    slot consistent; g2 is then the box value.  Squares that underflow
+    (|x_j| below about 1e-154, as on the entries an entropic descent drives
+    out) can too: the scan is then redone, once, on x scaled by a power of
+    two to max |x_j| just below 2^_G2_TOP, which changes no bit of the
+    arithmetic but the underflow.  Entries whose squares still underflow,
+    below about 2^-911 of the largest, are dropped: they add at most
+    n 2^-911 max |x_j| to the value, and z_j = 0 there keeps z dual
+    feasible.  With dual False, z is not built (None), and the value keeps
+    its bits.
     """
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
@@ -374,7 +409,7 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
     if box_fits(mass):
         return _box(x, a, c, support, dual)
     bp = a / c
-    cand, boxed = _candidates(bp, c, 2)
+    cand, boxed = _candidates(bp, c, 2, probe)
     a_c, c_c, bp_c = a[cand], c[cand], bp[cand]
     sq = np.multiply(a, a, out=bp)             # bp's buffer, and later z's
     sq[cand] = 0.0
@@ -403,7 +438,7 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
             shift = _G2_TOP - math.frexp(float(a.max()))[1]
             x = np.ldexp(x, shift)             # exact; max |x_j| now below 2^_G2_TOP
             x[np.abs(x) < 2.0 ** -511] = 0.0   # squares below the normal range
-            value, z = _g2_with_dual(x, c, rescaled=True, dual=dual)
+            value, z = _g2_with_dual(x, c, rescaled=True, dual=dual, probe=probe)
             return math.ldexp(value, -shift), z
         return _box(x, a, c, support, dual)
     i = hits[-1]
@@ -447,7 +482,9 @@ def g2(x: np.ndarray, c: np.ndarray) -> float:
     |x_j| / c_j, with k from 32 grown eightfold (the last probe at n/8)
     until their c^2 mass reaches 1, a stable sort of those k alone, and
     O(n) sums; the O(n log n) stable sort of every breakpoint when the mass
-    is not reached within n/8 of them.
+    is not reached within n/8 of them.  Each call starts at k = 32; the
+    evaluations of one Objective start where its last search ended, with
+    the same bits.
     """
     return _g2_with_dual(*_check_penalty_args(x, c), dual=False)[0]
 
@@ -510,6 +547,13 @@ class Objective:
     Residual part of the subgradient: (P - I)^T sign(Px - x) for the l1 norm,
     or (P - I)^T (Px - x)/||Px - x||_2 for l2 (zero when Px = x).  Penalty
     part: eps times the optimizing dual vector of the penalty norm.
+
+    Each evaluation works in arrays of its own: the residual overwrites the
+    product P x that it makes (never one the caller hands in), its l1 norm,
+    sign(r) or r / ||r||_2 and (P - I)^T u are taken in place, and eps times
+    the penalty's dual vector is added into (P - I)^T u, the subgradient it
+    returns.  The g1 and g2 searches for their candidates start where the
+    last one ended (see _Probe), which changes their work but no bit.
     """
 
     def __init__(self, P: SparseStochasticMatrix, spec: UncertaintySpec):
@@ -519,10 +563,12 @@ class Objective:
         self._weights = None if spec.pair is NormPair.L2_L2 else spec.weights(P.n)
         self._mass = None if self._weights is None else _mass(
             self._weights, 1 if self._l1_residual else 2)
+        self._probe = _Probe()
 
     def _penalty_with_dual(self, x: np.ndarray,
                            dual: bool) -> tuple[float, np.ndarray | None]:
-        """Penalty-norm value, and a subgradient of it at x when dual (else None)."""
+        """Penalty-norm value, and a subgradient of it at x when dual (else
+        None), a new array."""
         if self._weights is None:
             nx = float(np.linalg.norm(x))
             if not dual:
@@ -531,8 +577,35 @@ class Objective:
                 return 0.0, np.zeros_like(x)
             return nx, x / nx
         if self.spec.pair is NormPair.L1_G1:
-            return _g1_with_dual(x, self._weights, self._mass, dual=dual)
-        return _g2_with_dual(x, self._weights, self._mass, dual=dual)
+            return _g1_with_dual(x, self._weights, self._mass, dual=dual, probe=self._probe)
+        return _g2_with_dual(x, self._weights, self._mass, dual=dual, probe=self._probe)
+
+    def _residual(self, x: np.ndarray, Px: np.ndarray | None,
+                  dual: bool) -> tuple[float, np.ndarray | None]:
+        """||P x - x||, and (P - I)^T u for its dual vector u when dual (else
+        None), a new array."""
+        P = self.P
+        if Px is None:
+            r = P.matvec(x)             # rejects a vector of the wrong shape
+            r -= x                      # the product is this call's own
+        elif x.shape != (P.n,) or np.shape(Px) != (P.n,):
+            raise InputError(f"x and Px have shapes {x.shape} and {np.shape(Px)}, "
+                             f"expected ({P.n},)")
+        else:
+            r = np.subtract(Px, x)
+        if self._l1_residual:
+            u = np.sign(r) if dual else None
+            norm = float(np.abs(r, out=r).sum())
+        else:
+            norm = float(np.linalg.norm(r))
+            u = np.divide(r, norm, out=r) if dual and norm != 0.0 else None
+        if not dual:
+            return norm, None
+        if u is None:                   # P x = x under the l2 norm
+            return norm, np.zeros_like(x)
+        g = P.rmatvec(u)
+        g -= u
+        return norm, g
 
     def evaluate(self, x: np.ndarray, with_subgradient: bool = False, *,
                  Px: np.ndarray | None = None
@@ -543,32 +616,17 @@ class Objective:
         regularized power method does; it saves the one matvec and is read,
         never written.  x and Px must both have shape (n,).
         """
-        P, eps = self.P, self.spec.epsilon
         x = np.asarray(x, dtype=float)
-        if Px is None:
-            Px = P.matvec(x)            # rejects a vector of the wrong shape
-        elif x.shape != (P.n,) or np.shape(Px) != (P.n,):
-            raise InputError(f"x and Px have shapes {x.shape} and {np.shape(Px)}, "
-                             f"expected ({P.n},)")
-        r = Px - x
-        if self._l1_residual:
-            residual_term = float(np.abs(r).sum())
-        else:
-            residual_term = float(np.linalg.norm(r))
-        penalty_value, g_pen = self._penalty_with_dual(x, with_subgradient)
+        residual_term, g = self._residual(x, Px, with_subgradient)
+        penalty_value, z = self._penalty_with_dual(x, with_subgradient)
+        eps = self.spec.epsilon
         penalty_term = eps * penalty_value
         value = ObjectiveValue(residual_term, penalty_term, residual_term + penalty_term)
         if not with_subgradient:
             return value, None
-        if self._l1_residual:
-            s = np.sign(r)
-            g_res = P.rmatvec(s) - s
-        elif residual_term == 0.0:
-            g_res = np.zeros_like(x)
-        else:
-            u = r / residual_term
-            g_res = P.rmatvec(u) - u
-        return value, g_res + eps * g_pen
+        z *= eps
+        g += z
+        return value, g
 
 
 def phi(P: SparseStochasticMatrix, x: np.ndarray, spec: UncertaintySpec) -> ObjectiveValue:

@@ -309,17 +309,19 @@ def regularized_power_method(P: SparseStochasticMatrix, spec: UncertaintySpec,
 
     Each iteration costs one matvec and one penalty evaluation: P x_k gives
     both the residual of phi(x_k) and the next iterate, so a stop at k makes
-    k + 1 matvecs.
+    k + 1 matvecs.  The mixing writes no product: it scales P x_{k-1} into a
+    new array and adds w e as the scalar w e_0, which every entry of w e is.
     """
     objective = Objective(P, spec)
     e = uniform_vector(P.n)
-    x_prev = e.copy()
+    x_prev = e
     y = P.matvec(x_prev)
     value_prev, _ = objective.evaluate(x_prev, Px=y)
     history = [(0, value_prev.total)]
     for k in range(1, max_iter + 1):
         w = 1.0 / (k + 1)
-        x = (1.0 - w) * y + w * e
+        x = np.multiply(y, 1.0 - w)
+        x += w * e[0]
         y = P.matvec(x)
         value, _ = objective.evaluate(x, Px=y)
         history.append((k, value.total))
@@ -459,7 +461,10 @@ def _poisson_gmres(P: SparseStochasticMatrix, rhs: np.ndarray,
     _KRYLOV_ENTRIES // n) but at least 1, so the basis, a list of n-vectors,
     holds at most about _KRYLOV_ENTRIES floats.  The Hessenberg matrix is
     reduced by Givens rotations and solved by back-substitution in Python,
-    no LAPACK call.  The stop reads the residual vector off the rotations,
+    no LAPACK call.  Each scaled vector (h b in Gram-Schmidt, the residual
+    update, each term of the back-substitution) is formed in one scratch
+    n-vector, and each new direction is normalized in place.  The stop
+    reads the residual vector off the rotations,
     r_k = s_k^2 r_{k-1} - (c_k gamma_k / d_k) w_k, with w_k the new
     direction before normalization, d_k the rotated diagonal and gamma_k
     the residual's coefficient before rotation k: O(n) a step and no
@@ -477,8 +482,9 @@ def _poisson_gmres(P: SparseStochasticMatrix, rhs: np.ndarray,
     m = max(1, min(_KRYLOV_RESTART, _KRYLOV_ENTRIES // n))
     v = np.zeros(n)
     r = rhs.copy()                                   # rhs - (P^T - I) v
+    scratch = np.empty(n)                            # each scaled vector, in turn
     products = 0
-    while float(np.abs(r).max()) > tol:
+    while _max_abs(r) > tol:
         gamma = math.sqrt(float(r @ r))
         basis = [r / gamma]
         columns, rotations, g = [], [], [gamma]
@@ -491,7 +497,7 @@ def _poisson_gmres(P: SparseStochasticMatrix, rhs: np.ndarray,
             h = []
             for b in basis:                          # modified Gram-Schmidt
                 h.append(float(w @ b))
-                w -= h[-1] * b
+                w -= np.multiply(b, h[-1], out=scratch)
             h_next = math.sqrt(float(w @ w))
             for i, (c, s) in enumerate(rotations):
                 h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
@@ -506,17 +512,23 @@ def _poisson_gmres(P: SparseStochasticMatrix, rhs: np.ndarray,
             g[k] = c * gamma
             g.append(-s * gamma)
             r *= s * s
-            r -= (c * gamma / d) * w
-            if h_next == 0.0 or k == m - 1 or float(np.abs(r).max()) <= tol:
+            r -= np.multiply(w, c * gamma / d, out=scratch)
+            if h_next == 0.0 or k == m - 1 or _max_abs(r) <= tol:
                 break
-            basis.append(w / h_next)
+            w /= h_next
+            basis.append(w)
         y = [0.0] * len(columns)                     # back-substitution
         for i in reversed(range(len(y))):
             y[i] = (g[i] - sum(columns[j][i] * y[j] for j in range(i + 1, len(y)))) / columns[i][i]
-            v += y[i] * basis[i]
-        if h_next == 0.0 and float(np.abs(r).max()) > tol:
+            v += np.multiply(basis[i], y[i], out=scratch)
+        if h_next == 0.0 and _max_abs(r) > tol:
             return None
     return v, products
+
+
+def _max_abs(r: np.ndarray) -> float:
+    """||r||_inf, np.abs(r).max(), without the array of |r_j|."""
+    return max(float(r.max()), -float(r.min()))
 
 
 def _nominal_certificate(P: SparseStochasticMatrix, objective: Objective,

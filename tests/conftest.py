@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from robusteig import edge_list, from_edge_list, uniform_vector
+from robusteig import edge_list, from_edge_list, solvers, uniform_vector
 from robusteig.norms import Objective, box_fits
 from robusteig.perturbation import (FEASIBILITY_TOL, PERTURBATION_SETS,
                                     InfeasiblePerturbationError)
@@ -221,6 +222,73 @@ def _restarted_cesaro_rounds(P, tol):
         if K == cap or np.abs(P.matvec(current) - x).sum() / K <= tol:
             return average
         x, K = average, min(2 * K, cap)
+
+
+def _poisson_gmres_loop(P, rhs, tol):
+    """solvers._poisson_gmres as it was written with a new n-vector for each
+    scaled vector (h b in Gram-Schmidt, the residual update, each term of
+    the back-substitution) and for each |r| of its stop test.
+
+    The reference whose v and product count solvers._poisson_gmres, which
+    scales into one scratch vector, must match bit for bit.  It reads the
+    solver's restart and budget constants when called.
+    """
+    n = P.n
+    m = max(1, min(solvers._KRYLOV_RESTART, solvers._KRYLOV_ENTRIES // n))
+    v = np.zeros(n)
+    r = rhs.copy()
+    products = 0
+    while float(np.abs(r).max()) > tol:
+        gamma = math.sqrt(float(r @ r))
+        basis = [r / gamma]
+        columns, rotations, g = [], [], [gamma]
+        for k in range(m):
+            if products == solvers._POISSON_TERMS:
+                return None
+            w = P.rmatvec(basis[k])
+            w -= basis[k]
+            products += 1
+            h = []
+            for b in basis:
+                h.append(float(w @ b))
+                w -= h[-1] * b
+            h_next = math.sqrt(float(w @ w))
+            for i, (c, s) in enumerate(rotations):
+                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            d = math.hypot(h[k], h_next)
+            if d == 0.0:
+                return None
+            c, s = h[k] / d, h_next / d
+            h[k] = d
+            columns.append(h)
+            rotations.append((c, s))
+            gamma = g[k]
+            g[k] = c * gamma
+            g.append(-s * gamma)
+            r *= s * s
+            r -= (c * gamma / d) * w
+            if h_next == 0.0 or k == m - 1 or float(np.abs(r).max()) <= tol:
+                break
+            basis.append(w / h_next)
+        y = [0.0] * len(columns)
+        for i in reversed(range(len(y))):
+            y[i] = (g[i] - sum(columns[j][i] * y[j] for j in range(i + 1, len(y)))) / columns[i][i]
+            v += y[i] * basis[i]
+        if h_next == 0.0 and float(np.abs(r).max()) > tol:
+            return None
+    return v, products
+
+
+def peak_n_vectors(call, n):
+    """The peak of the memory that call() allocates, as tracemalloc traces
+    it, in float64 n-vectors (8 n bytes each)."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n)
 
 
 def _column_supports_dense(P):

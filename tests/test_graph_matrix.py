@@ -604,6 +604,50 @@ class TestCyclicPeriod:
         assert graph_matrix.cyclic_period(P) == reference_period(P)
 
 
+class TestStructureKept:
+    """is_irreducible and cyclic_period keep their answers on the matrix."""
+
+    @staticmethod
+    def _counted_passes(monkeypatch):
+        passes = []
+        real = graph_matrix._closed_classes
+
+        def counted(P):
+            passes.append(P)
+            return real(P)
+
+        monkeypatch.setattr(graph_matrix, "_closed_classes", counted)
+        return passes
+
+    @pytest.mark.parametrize("first", ["nominal", "robust l1g1"])
+    def test_each_pass_runs_once_per_matrix(self, monkeypatch, first):
+        # the periodic Model 2 grid: irreducible, and its nominal solve needs
+        # the period past its first round
+        want = dominant_eigenvector(generate(GridModelSpec(20, ModelVariant.MODEL2)), 1e-10)
+        passes = self._counted_passes(monkeypatch)
+        P = generate(GridModelSpec(20, ModelVariant.MODEL2))
+        spec = UncertaintySpec(1.0, NormPair.L1_G1, 1.0 / out_degrees(P).astype(float))
+        calls = {"nominal": lambda: dominant_eigenvector(P, 1e-10).tobytes(),
+                 "robust l1g1": lambda: mirror_descent_minimize(P, spec).stop_reason}
+        order = [first] + [name for name in calls if name != first]
+        got = {name: {calls[name]() for _ in range(3)} for name in order}
+        assert got == {"nominal": {want.tobytes()}, "robust l1g1": {STOP_NOMINAL}}
+        # cyclic_period's pass tells is_irreducible's answer too, not the reverse
+        assert len(passes) == (1 if first == "nominal" else 2)
+        assert graph_matrix.is_irreducible(P) is True
+        assert graph_matrix.cyclic_period(P) == 39
+        assert len(passes) == (1 if first == "nominal" else 2)
+
+    def test_a_reducible_web_graph_takes_its_period_once(self, monkeypatch):
+        passes = self._counted_passes(monkeypatch)
+        P = web_graph(2000, 14)
+        xs = [dominant_eigenvector(P, 1e-10) for _ in range(3)]
+        assert len(passes) == 1
+        assert graph_matrix.is_irreducible(P) is False
+        assert len(passes) == 1
+        assert xs[0].tobytes() == xs[1].tobytes() == xs[2].tobytes()
+
+
 class TestResidual:
     def test_zero_at_the_dominant_eigenvector(self, seven_node):
         assert residual(seven_node, SEVEN_NODE_XBAR, "l1") == 0.0
@@ -621,6 +665,14 @@ class TestResidual:
     def test_unknown_norm_rejected(self, seven_node):
         with pytest.raises(InputError):
             residual(seven_node, uniform_vector(7), "linf")
+
+    def test_keeps_the_bits_of_the_expression(self):
+        # the difference is taken in the product's own array
+        P = web_graph(2000, 29)
+        x = np.random.default_rng(29).dirichlet(np.ones(P.n))
+        r = P.matvec(x) - x
+        assert residual(P, x, "l1") == float(np.abs(r).sum())
+        assert residual(P, x, "l2") == float(np.linalg.norm(r))
 
     def test_bounded_by_two_on_the_simplex(self, seven_node):
         rng = np.random.default_rng(11)

@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robusteig import (NormPair, SparseStochasticMatrix, UncertaintySpec, g1,
-                       g2, g_oracle, phi, phi_value, subgradient_phi,
-                       uniform_vector)
+from robusteig import (NormPair, SolverConfig, SparseStochasticMatrix, UncertaintySpec,
+                       g1, g2, g_oracle, mirror_descent_minimize, phi, phi_value,
+                       subgradient_phi, uniform_vector)
+from robusteig import norms, solvers
 from robusteig.graph_matrix import out_degrees
 from robusteig.norms import (Objective, _g1_with_dual, _g2_with_dual, _stable_argsort,
                             box_fits)
 
 from conftest import (SEVEN_NODE_XBAR, _g1_fill_loop, _g2_prefix_scan_loop,
-                      _g2_scan_loop, random_stochastic_dense, web_graph)
+                      _g2_scan_loop, peak_n_vectors, random_stochastic_dense, web_graph)
 
 
 def _random_case(rng, n_max=8):
@@ -590,6 +591,121 @@ class TestObjective:
                 value, none = objective.evaluate(x)
                 assert none is None
                 assert value == objective.evaluate(x, True)[0]
+
+
+    @pytest.mark.parametrize("pair", list(NormPair))
+    def test_one_evaluation_holds_few_n_vectors(self, pair):
+        # the residual, its sign or unit vector, (P - I)^T u and the sum
+        # with eps z share arrays; the penalty's own search holds a few more
+        P = web_graph(20_000, 28)
+        rng = np.random.default_rng(28)
+        u = rng.random(P.n) ** 8
+        x = u / u.sum()
+        for budgets in (None, 1.0 / out_degrees(P).astype(float)):
+            objective = Objective(P, UncertaintySpec(1.0, pair, budgets))
+            for _ in range(2):                       # cold, then from the carried probe
+                peak = peak_n_vectors(lambda: objective.evaluate(x, with_subgradient=True), P.n)
+                assert peak < 6.0
+
+
+class TestWarmProbe:
+    """Objective's g1 and g2 searches start at the candidate count of the
+    last one, grown by a quarter: less work, every bit the same."""
+
+    @pytest.mark.parametrize("pair, name", [(NormPair.L1_G1, "_g1_with_dual"),
+                                            (NormPair.L2_G2, "_g2_with_dual")])
+    def test_a_descent_keeps_every_bit(self, monkeypatch, pair, name):
+        # each evaluation along the descent against a cold call on its
+        # iterate, whose search starts at _FIRST_PROBE; the l1g1 schedule
+        # runs, kept from its exact routes
+        P = web_graph(3000, 24)
+        spec = UncertaintySpec(1.0, pair, 1.0 / (16.0 * out_degrees(P)))
+        real = getattr(norms, name)
+        firsts = []
+
+        def checked(x, c, mass=None, dual=True, probe=None, **kwargs):
+            firsts.append(probe.k)
+            value, z = real(x, c, mass, dual=dual, probe=probe, **kwargs)
+            want_value, want_z = real(x, c, mass, dual=dual, **kwargs)
+            assert value == want_value
+            assert (z is want_z is None) or z.tobytes() == want_z.tobytes()
+            return value, z
+
+        monkeypatch.setattr(norms, name, checked)
+        monkeypatch.setattr(solvers, "_nominal_certificate", lambda *args: None)
+        monkeypatch.setattr(solvers, "_LP_MAX_N", 0)
+        monkeypatch.setattr(solvers, "_GAP_TOL", 0.0)          # the whole budget
+        report = mirror_descent_minimize(P, spec, SolverConfig(max_iter=50, md_epochs=2,
+                                                               md_iters_per_epoch=30))
+        assert report.iterations_used == 60
+        assert len(firsts) > 60 and max(firsts) > norms._FIRST_PROBE
+
+    @pytest.mark.parametrize("g, p", [(_g1_with_dual, 1), (_g2_with_dual, 2)])
+    def test_a_count_past_n_8_and_a_sharp_shrink_keep_every_bit(self, g, p):
+        # small weights put about n/4 candidates in a flat x, past the last
+        # probe at n/8; a spike on the 1% of weights at 1 leaves one
+        rng = np.random.default_rng(27)
+        n = 4000
+        c = rng.uniform(0.5, 1.5, n) * (4.0 / n if p == 1 else 2.0 / np.sqrt(n))
+        big = rng.random(n) < 0.01
+        c[big] = 1.0
+        flat = [1.0 + 0.1 * rng.random(n) for _ in range(2)]
+        for x in flat:
+            x[big] = 0.5
+        spiky = flat[0].copy()
+        spiky[big] = 1e6
+        probe = norms._Probe()
+        for x, carried in ((flat[0], n // 8), (flat[1], n // 8), (spiky, norms._FIRST_PROBE),
+                           (flat[0], n // 8)):
+            value, z = g(x, c, probe=probe)
+            want_value, want_z = g(x, c)
+            assert value == want_value
+            assert z.tobytes() == want_z.tobytes()
+            assert probe.k == carried
+
+    @pytest.mark.parametrize("pair", [NormPair.L1_G1, NormPair.L2_G2])
+    def test_each_evaluation_after_the_first_makes_one_probe(self, monkeypatch, pair):
+        # a web graph with 5% dangling nodes, whose c_j = 1/n put the g2
+        # candidates past the first few probes of a cold search.  At the
+        # uniform point every |x_j| ties, which only the full sort orders
+        P = web_graph(20_000, 25)
+        spec = UncertaintySpec(1.0, pair, 1.0 / out_degrees(P).astype(float))
+        probes, full_sorts = [], []
+        stable_argsort, argsort = norms._stable_argsort, np.argsort
+
+        def counted_probe(b):
+            probes.append(b.size)
+            return stable_argsort(b)
+
+        def counted_sort(a, *args, **kwargs):
+            if np.size(a) > P.n // 8:
+                full_sorts.append(np.size(a))
+            return argsort(a, *args, **kwargs)
+
+        per_objective = {}
+
+        class Counted(norms.Objective):
+            def evaluate(self, x, *args, **kwargs):
+                before = len(probes), len(full_sorts)
+                out = super().evaluate(x, *args, **kwargs)
+                work = len(probes) - before[0], len(full_sorts) - before[1]
+                per_objective.setdefault(id(self), []).append(
+                    (work, bool(np.all(x == x[0]))))
+                return out
+
+        monkeypatch.setattr(norms, "_stable_argsort", counted_probe)
+        monkeypatch.setattr(np, "argsort", counted_sort)
+        monkeypatch.setattr(solvers, "Objective", Counted)
+        monkeypatch.setattr(solvers, "_nominal_certificate", lambda *args: None)
+        monkeypatch.setattr(solvers, "_LP_MAX_N", 0)
+        mirror_descent_minimize(P, spec, SolverConfig(max_iter=100, md_epochs=1,
+                                                      md_iters_per_epoch=20))
+        monkeypatch.undo()
+        warm_start, descent = per_objective.values()
+        assert len(descent) == 22                    # x0, the uniform point, 20 steps
+        for evaluations in (warm_start, descent):
+            for work, uniform in evaluations[1:]:
+                assert work == ((0, 1) if uniform and pair is NormPair.L1_G1 else (1, 0))
 
 
 class TestSubgradientPhi:

@@ -20,7 +20,7 @@ from robusteig.solvers import (STOP_GAP, STOP_LP, STOP_MAX_ITER, STOP_NOMINAL,
                                STOP_PHI_INCREASE, STOP_TOLERANCE, _entropic_step)
 
 from conftest import (PERIOD_3_EDGES, SEVEN_NODE_EDGES, SEVEN_NODE_XBAR, _g2_scan_loop,
-                      _regularized_power_method_two_matvecs,
+                      _poisson_gmres_loop, _regularized_power_method_two_matvecs,
                       _restarted_cesaro_rounds,
                       random_stochastic_dense, web_graph)
 
@@ -113,14 +113,16 @@ class TestPagerank:
 class MatvecBudget:
     """A matrix that refuses matvecs beyond a fixed budget.
 
-    It holds the inner matrix's link arrays too, which
-    graph_matrix.cyclic_period reads, so that a budgeted solve runs the
-    period pass as the plain matrix would.
+    It reads every other attribute off the inner matrix, among them the link
+    arrays and the kept period that graph_matrix.cyclic_period reads, so
+    that a budgeted solve takes the period as the plain matrix would.
     """
 
     def __init__(self, inner, budget):
         self.inner, self.n, self.budget = inner, inner.n, budget
-        self._links, self._dangling_index = inner._links, inner._dangling_index
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
     def matvec(self, x):
         if self.budget == 0:
@@ -523,7 +525,7 @@ class TestMirrorDescent:
         monkeypatch.setattr(solvers, "_GAP_TOL", 0.0)         # the whole budget
         report = mirror_descent_minimize(P, spec, config)
         monkeypatch.setattr(norms, "_g2_with_dual",
-                            lambda x, c, mass=None, dual=True: _g2_scan_loop(x, c))
+                            lambda x, c, mass=None, dual=True, probe=None: _g2_scan_loop(x, c))
         want = mirror_descent_minimize(P, spec, config)
         assert report.iterations_used == want.iterations_used == 400
         assert report.final.tobytes() == want.final.tobytes()
@@ -1008,6 +1010,41 @@ class TestPoissonGmres:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert solvers._poisson_gmres(P, np.ones(2), 1e-3) is None
+
+    @pytest.mark.parametrize("variant, side", [("model1", 8), ("model1", 20),
+                                               ("model2", 6), ("model2", 20)])
+    @pytest.mark.parametrize("restart", ["default", "every 3 products"])
+    def test_matches_the_loop_with_temporaries_bit_for_bit(self, monkeypatch, variant,
+                                                            side, restart):
+        # one scratch vector for every scaled vector, and the max of r and
+        # -r for ||r||_inf, against a new array for each
+        P = _grid(variant, side)
+        if restart != "default":
+            monkeypatch.setattr(solvers, "_KRYLOV_ENTRIES", 3 * P.n)
+        x = dominant_eigenvector(P, 1e-12)
+        pen, z = norms._g1_with_dual(x, _grid_weights(P, "inv-degree"))
+        for tol in (1e-3, 1e-9):
+            v, products = solvers._poisson_gmres(P, pen - z, tol)
+            want_v, want_products = _poisson_gmres_loop(P, pen - z, tol)
+            assert products == want_products
+            assert v.tobytes() == want_v.tobytes()
+
+    def test_declines_where_the_loop_declines(self, monkeypatch):
+        cycle = from_edge_list(edge_list([(0, 1), (1, 2), (2, 3), (3, 0)], 4))
+        alternating = np.array([0.25, -0.25, 0.25, -0.25])
+        pair = from_edge_list(edge_list([(0, 1), (1, 0)], 2))
+        for P, rhs, tol in ((cycle, alternating, 0.0), (pair, np.ones(2), 1e-3)):
+            got = solvers._poisson_gmres(P, rhs, tol)
+            want = _poisson_gmres_loop(P, rhs, tol)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        monkeypatch.setattr(solvers, "_POISSON_TERMS", 10)      # past its budget
+        P = _grid("model2", 20)
+        x = dominant_eigenvector(P, 1e-12)
+        pen, z = norms._g1_with_dual(x, _grid_weights(P, "inv-degree"))
+        assert solvers._poisson_gmres(P, pen - z, 1e-9) is None
+        assert _poisson_gmres_loop(P, pen - z, 1e-9) is None
 
     def test_the_basis_is_bounded(self, monkeypatch):
         # restarts every 4 products hold about 4 n-vectors, not the 40 that
