@@ -182,8 +182,7 @@ def pagerank(P: SparseStochasticMatrix, alpha: float = 0.85, tol: float = 1e-10,
         x_next = Px
         x_next *= alpha
         x_next += shift
-        step = x_next - x
-        delta = float(np.abs(step, out=step).sum())
+        delta = _l1_distance(x_next, x)
         x = x_next
         iterations = k
         Px = P.matvec(x)
@@ -344,34 +343,28 @@ def _entropic_step(x: np.ndarray, g: np.ndarray, step: float) -> np.ndarray:
 
 
 class _Descent:
-    """The evaluations of one robust solve, each of which may raise the
-    certified lower bound and replace the best point."""
+    """The evaluations of one robust solve, from x0, each of which may raise
+    the certified lower bound and replace the best point."""
 
     def __init__(self, objective: Objective, x0: np.ndarray):
         self.objective = objective
-        self.evaluations = 0
+        self.evaluations = -1                        # x0's evaluation is number 0
         self.lower = -math.inf
         self.best_value = None
-        self._offer(x0)
-        # the uniform point is cheap to evaluate and never worse than untried
-        self._offer(uniform_vector(x0.size))
-        self.history = [(0, self.best_value.total)]
+        self.history = []
+        self.evaluate(x0)
 
-    def _offer(self, x: np.ndarray) -> tuple[ObjectiveValue, np.ndarray, float]:
+    def evaluate(self, x: np.ndarray) -> tuple[ObjectiveValue, np.ndarray, float]:
+        """phi at x, a subgradient g there and min g, for one matvec and one
+        rmatvec; every evaluation but x0's counts against the budget."""
+        self.evaluations += 1
         value, g = self.objective.evaluate(x, with_subgradient=True)
         g_min = float(g.min())
         self.lower = max(self.lower, g_min)
         if self.best_value is None or value.total < self.best_value.total:
             self.best_x, self.best_value, self.best_g, self.best_g_min = x, value, g, g_min
-            if self.evaluations:
-                self.history.append((self.evaluations, value.total))
+            self.history.append((self.evaluations, value.total))
         return value, g, g_min
-
-    def evaluate(self, x: np.ndarray) -> tuple[ObjectiveValue, np.ndarray, float]:
-        """phi at x, a subgradient g there and min g: one evaluation of the
-        budget, one matvec and one rmatvec."""
-        self.evaluations += 1
-        return self._offer(x)
 
     def certified(self) -> bool:
         return self.best_value.total - self.lower <= _GAP_TOL * self.best_value.total
@@ -474,15 +467,18 @@ def _poisson_gmres(P: SparseStochasticMatrix, rhs: np.ndarray,
     P^T - I is singular, null space span(1), but of index 1, and rhs is
     orthogonal to the stationary vector up to its error, so GMRES converges
     (Brown & Walker 1997).  Returns None once _POISSON_TERMS products do not
-    reach tol, or when a step finds an invariant Krylov space (nothing new
-    to add: a zero rotated column, or a zero new direction) and the
-    residual there misses tol, which no restart can improve on.
+    reach tol, at a zero rotated diagonal, or at an invariant Krylov space (a
+    zero new direction) whose residual misses tol, which no restart can
+    improve on.  Zero is at most machine epsilon times the product's norm
+    before Gram-Schmidt, sqrt(sum h_i^2 + h_next^2): a rhs with a component
+    along the stationary vector closes the space only up to rounding.
     """
     n = P.n
     m = max(1, min(_KRYLOV_RESTART, _KRYLOV_ENTRIES // n))
     v = np.zeros(n)
     r = rhs.copy()                                   # rhs - (P^T - I) v
     scratch = np.empty(n)                            # each scaled vector, in turn
+    machine_eps = np.finfo(float).eps
     products = 0
     while _max_abs(r) > tol:
         gamma = math.sqrt(float(r @ r))
@@ -499,10 +495,12 @@ def _poisson_gmres(P: SparseStochasticMatrix, rhs: np.ndarray,
                 h.append(float(w @ b))
                 w -= np.multiply(b, h[-1], out=scratch)
             h_next = math.sqrt(float(w @ w))
+            rounding = machine_eps * math.hypot(*h, h_next)  # ||w|| before Gram-Schmidt
+            closed = h_next <= rounding
             for i, (c, s) in enumerate(rotations):
                 h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
             d = math.hypot(h[k], h_next)
-            if d == 0.0:
+            if d <= rounding:
                 return None
             c, s = h[k] / d, h_next / d
             h[k] = d
@@ -513,7 +511,7 @@ def _poisson_gmres(P: SparseStochasticMatrix, rhs: np.ndarray,
             g.append(-s * gamma)
             r *= s * s
             r -= np.multiply(w, c * gamma / d, out=scratch)
-            if h_next == 0.0 or k == m - 1 or _max_abs(r) <= tol:
+            if closed or k == m - 1 or _max_abs(r) <= tol:
                 break
             w /= h_next
             basis.append(w)
@@ -521,7 +519,7 @@ def _poisson_gmres(P: SparseStochasticMatrix, rhs: np.ndarray,
         for i in reversed(range(len(y))):
             y[i] = (g[i] - sum(columns[j][i] * y[j] for j in range(i + 1, len(y)))) / columns[i][i]
             v += np.multiply(basis[i], y[i], out=scratch)
-        if h_next == 0.0 and _max_abs(r) > tol:
+        if closed and _max_abs(r) > tol:
             return None
     return v, products
 
@@ -570,7 +568,7 @@ def _nominal_certificate(P: SparseStochasticMatrix, objective: Objective,
     v, products = solved
     v -= (v.max() + v.min()) / 2.0
     u = eps * v
-    if float(np.abs(u).max()) > 1.0:
+    if _max_abs(u) > 1.0:
         return None
     return _certified(P, objective, x, value, u, z, products, STOP_NOMINAL)
 
@@ -636,8 +634,7 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
     subgradient of phi at x, tracking the best point evaluated.  Each
     evaluation of phi and its subgradient, in one pass, costs one matvec and
     one rmatvec; config.md_epochs * config.md_iters_per_epoch evaluations
-    bound the descent, and iterations_used counts them (the two at x0 and at
-    the uniform point aside).
+    bound the descent, and iterations_used counts them (the one at x0 aside).
 
     The step rule depends on the pair.  l2l2 and l2g2 are smooth wherever
     P x != x and x_j > 0, and take Barzilai-Borwein steps (Barzilai &
@@ -659,16 +656,18 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
     phi is convex and positively homogeneous, so every subgradient g taken
     anywhere satisfies phi(y) >= <g, y> for all y, and min_j g_j bounds phi
     from below on the simplex.  The largest such bound over the subgradients
-    of the solve (at x0, at the uniform point and at every evaluation) is
-    returned as lower_bound; it costs one g.min() per evaluation.  The
-    descent stops with reason gap, before the first step or after any
-    evaluation, once best phi - lower_bound <= 1e-3 best phi (_GAP_TOL; phi
-    is positive on the simplex); otherwise the budget runs out with reason
-    max_iter.
+    of the solve (at x0 and at every evaluation) is returned as
+    lower_bound; it costs one g.min() per evaluation.  The descent stops
+    with reason gap, before the first step or after any evaluation, once
+    best phi - lower_bound <= 1e-3 best phi (_GAP_TOL; phi is positive on
+    the simplex); otherwise the budget runs out with reason max_iter.
 
     Unless x0 is given, descent starts from the stopped regularized-power
     iterate (cheap and already good), so the returned objective never exceeds
-    that method's result.
+    that method's result, which begins at the uniform vector and stops
+    before phi rises by more than _STALL_TOL, so it is at most k _STALL_TOL
+    above phi there after k iterations.  A given x0 is the only start; the
+    CLI and the benchmark pass none.
 
     On l1g1, before the warm start and whatever x0, _nominal_certificate
     tries to prove the dominant eigenvector at config.tol optimal, to the

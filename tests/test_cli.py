@@ -358,6 +358,15 @@ class TestExitCodes:
                           "--col-budget", "triangular:3")
         assert code == 1
 
+    def test_model_without_size_is_a_config_error(self, capsys):
+        assert main(["rank", "--model", "model1"]) == 1
+        assert capsys.readouterr().err == "robusteig: error: --model requires --n\n"
+
+    def test_uniform_budget_that_is_not_a_number_is_a_config_error(self, capsys,
+                                                                    seven_node_file):
+        assert main(["rank", "--input", seven_node_file, "--col-budget", "uniform:abc"]) == 1
+        assert "bad --col-budget value 'uniform:abc'" in capsys.readouterr().err
+
     def test_bad_epsilon_is_a_config_error(self, capsys, seven_node_file):
         code, _ = run_cli(capsys, "rank", "--input", seven_node_file,
                           "--epsilon", "-1")

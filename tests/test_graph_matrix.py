@@ -207,6 +207,17 @@ class TestEdgeList:
         with pytest.raises(InputError, match="out of range"):
             edge_list([(0, 1), (-1, 0)])
 
+    def test_malformed_inputs_without_a_node_count_rejected(self):
+        with pytest.raises(InputError):
+            EdgeList.from_arrays([0, 1], [0], 2)
+        for edges in ([("a", 1)], [(0, 1, 2)]):
+            with pytest.raises(InputError, match="edges must be \\(source, destination\\) pairs"):
+                edge_list(edges)
+        with pytest.raises(InputError, match="cannot infer node count"):
+            edge_list([])
+        with pytest.raises(InputError, match="matrix must be square"):
+            SparseStochasticMatrix(np.ones((2, 3)))
+
     def test_load_and_build_make_no_tuple_per_edge(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("n=3\n0\t1\n1\t2\n0\t1\ndangling:2\n")

@@ -83,6 +83,10 @@ class TestGenerate:
         with pytest.raises(ValueError):
             GridModelSpec(1, ModelVariant.MODEL1)
 
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown model 'model3'"):
+            ModelVariant.from_string("model3")
+
 
 def seven_branch_recurrence(n, corner_feedback, alpha):
     """The grid recurrence with one branch per kind of cell, kept as the
@@ -123,6 +127,10 @@ class TestModel1ExactScores:
     def test_fixed_point_certificate(self, n):
         P = generate(spec1(n))
         assert residual(P, model1_exact_scores(n), "l1") <= 1e-10
+
+    def test_side_length_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            model1_exact_scores(1)
 
     def test_corner_to_origin_ratio_is_the_node_count(self):
         for n in (2, 3, 10):

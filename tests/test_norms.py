@@ -702,7 +702,7 @@ class TestWarmProbe:
                                                       md_iters_per_epoch=20))
         monkeypatch.undo()
         warm_start, descent = per_objective.values()
-        assert len(descent) == 22                    # x0, the uniform point, 20 steps
+        assert len(descent) == 21                    # x0 and 20 steps
         for evaluations in (warm_start, descent):
             for work, uniform in evaluations[1:]:
                 assert work == ((0, 1) if uniform and pair is NormPair.L1_G1 else (1, 0))

@@ -41,6 +41,11 @@ class TestWorstCaseRank1:
         assert perturbed_residual(P, xi, x, 2) == pytest.approx(0.7 * np.linalg.norm(x),
                                                                 abs=1e-12)
 
+    def test_a_one_node_fixed_point_has_no_fallback_direction(self):
+        P = from_edge_list(edge_list([(0, 0)], 1))
+        with pytest.raises(ValueError, match="fallback direction needs dimension >= 2"):
+            worst_case_rank1(P, np.array([1.0]), eps=1.0)
+
     def test_swap_matrix_vertex(self):
         xi = worst_case_rank1(SWAP, np.array([1.0, 0.0]), eps=0.5).materialize()
         assert perturbed_residual(SWAP, xi, np.array([1.0, 0.0]), 2) == pytest.approx(
