@@ -144,10 +144,10 @@ class SparseStochasticMatrix:
     `dangling_columns`, the frozenset of the same ids, is made from it once.
     Immutable after construction; safe to share across threads.
 
-    is_irreducible and cyclic_period keep their results on the matrix, a
-    bool and an int, so that each strong-component pass runs once per
-    matrix; two threads that ask at once may both run it, to the same
-    result.
+    is_irreducible and cyclic_period read one (irreducible, period) pair,
+    made by one structure pass the first time either is asked and kept on
+    the matrix, so that the pass runs once per matrix; two threads that ask
+    at once may both run it, to the same result.
 
     `matvec` and `rmatvec` call scipy's compiled kernels, `csc_matvec` and
     `csr_matvec`, on the CSC arrays (read as CSR they are the transpose),
@@ -174,9 +174,8 @@ class SparseStochasticMatrix:
         # order, without a pass over all n entries
         self._dangling_index = _dangling_index(dangling_columns, n)
         self.dangling_columns = frozenset(self._dangling_index.tolist())
-        # is_irreducible(self) and cyclic_period(self), once either is asked
-        self._irreducible: bool | None = None
-        self._period: int | None = None
+        # (is_irreducible(self), cyclic_period(self)), once either is asked
+        self._kept_structure: tuple[bool, int] | None = None
 
     @property
     def nnz(self) -> int:
@@ -300,24 +299,15 @@ def _closed_classes(P: SparseStochasticMatrix):
 def is_irreducible(P: SparseStochasticMatrix) -> bool:
     """Whether every node of P reaches every other along its links.
 
-    One pass over the strong components of the link graph, no matvec,
-    shared with cyclic_period (_closed_classes), and none once either has
-    run on P, which keeps the answer.  Following links, every node reaches
-    a closed component, one that no link leaves.  A dangling node's
-    component is not closed in P, whose dangling columns link to all n
-    nodes; any other closed component, beside a second component, reaches
-    no node outside it.  So P is irreducible when the link graph is one
-    component, or when no component is closed in P.
+    Read off the one structure pass that also gives cyclic_period, and kept
+    on P with it; no matvec.  Following links, every node reaches a closed
+    component, one that no link leaves.  A dangling node's component is not
+    closed in P, whose dangling columns link to all n nodes; any other
+    closed component, beside a second component, reaches no node outside
+    it.  So P is irreducible when the link graph is one component, or when
+    no component is closed in P.
     """
-    if P._irreducible is None:
-        _, _, _, closed = _closed_classes(P)
-        P._irreducible = _irreducible(closed)
-    return P._irreducible
-
-
-def _irreducible(closed: np.ndarray) -> bool:
-    """Whether P is irreducible, from the mask of its closed components."""
-    return bool(closed.size == 1 or not closed.any())
+    return _structure(P)[0]
 
 
 def cyclic_period(P: SparseStochasticMatrix) -> int:
@@ -329,35 +319,36 @@ def cyclic_period(P: SparseStochasticMatrix) -> int:
     modulus 1; so an average of a multiple of the returned period of
     consecutive power terms cancels every unit-circle eigenvalue but 1.
 
-    No matvec: the strong-component pass of _closed_classes, then one
-    breadth-first pass from one root per closed class, and neither after
-    the first call on P, which keeps the period (and is_irreducible's
-    answer, read off the same pass).  A closed class reaches only itself,
-    so each of its nodes gets its level below its own class's root, and
-    the class's period is the gcd of level(u) + 1 - level(v) over its links
+    Read off the one structure pass that also gives is_irreducible, and
+    kept on P with it; no matvec.  A closed class reaches only itself, so
+    each of its nodes gets its level below its own class's root, and the
+    class's period is the gcd of level(u) + 1 - level(v) over its links
     u -> v.  The lcm is taken on Python ints.
     """
-    if P._period is None:
-        P._period = _cyclic_period(P)
-    return P._period
+    return _structure(P)[1]
 
 
-def _cyclic_period(P: SparseStochasticMatrix) -> int:
-    """cyclic_period(P), computed; records is_irreducible(P) on the way."""
-    links_t, source, labels, closed = _closed_classes(P)
-    P._irreducible = _irreducible(closed)
-    if not closed.any():
-        return 1
-    root = np.empty(closed.size, dtype=np.int64)
-    root[labels] = np.arange(P.n)                   # some node of each class
-    level = csgraph.dijkstra(links_t, indices=root[closed], unweighted=True,
-                             min_only=True)
-    inside = closed[labels[source]]       # a closed class's links stay in it
-    tail, head = source[inside], links_t.indices[inside]
-    shift = (level[tail] + 1.0 - level[head]).astype(np.int64)
-    period = np.zeros(closed.size, dtype=np.int64)
-    np.gcd.at(period, labels[tail], shift)
-    return math.lcm(*period[closed].tolist())
+def _structure(P: SparseStochasticMatrix) -> tuple[bool, int]:
+    """(is_irreducible(P), cyclic_period(P)), made the first time either is
+    asked and kept on P: the strong-component pass of _closed_classes, then,
+    only where some class is closed, one breadth-first pass from one root
+    per closed class."""
+    if P._kept_structure is None:
+        links_t, source, labels, closed = _closed_classes(P)
+        period = 1
+        if closed.any():
+            root = np.empty(closed.size, dtype=np.int64)
+            root[labels] = np.arange(P.n)               # some node of each class
+            level = csgraph.dijkstra(links_t, indices=root[closed], unweighted=True,
+                                     min_only=True)
+            inside = closed[labels[source]]   # a closed class's links stay in it
+            tail, head = source[inside], links_t.indices[inside]
+            shift = (level[tail] + 1.0 - level[head]).astype(np.int64)
+            gcds = np.zeros(closed.size, dtype=np.int64)
+            np.gcd.at(gcds, labels[tail], shift)
+            period = math.lcm(*gcds[closed].tolist())
+        P._kept_structure = (bool(closed.size == 1 or not closed.any()), period)
+    return P._kept_structure
 
 
 def validate(P: SparseStochasticMatrix, tol: float = COLUMN_SUM_TOL) -> ValidationReport:

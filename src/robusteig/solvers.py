@@ -19,6 +19,7 @@ past both.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,9 @@ _DEFAULT_SPEC = UncertaintySpec(epsilon=1.0, pair=NormPair.L2_L2)
 
 # terms in the first round of dominant_eigenvector's restarted averaging
 _FIRST_ROUND_TERMS = 64
+
+# rows per block of grid_oracle_minimize's lattice points (n floats each)
+_LATTICE_BLOCK_ROWS = 200_000
 
 # regularized_power_method stops on a rise of phi above this, not on rounding
 _STALL_TOL = 1e-12
@@ -92,6 +96,16 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be > 0, got {tol}")
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _check_count(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -149,12 +163,10 @@ class SolverConfig:
     md_iters_per_epoch: int = 200
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         _check_tol(self.tol)
         for name in ("max_iter", "md_epochs", "md_iters_per_epoch"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            _check_count(name, getattr(self, name))
 
 
 def pagerank(P: SparseStochasticMatrix, alpha: float = 0.85, tol: float = 1e-10,
@@ -167,9 +179,9 @@ def pagerank(P: SparseStochasticMatrix, alpha: float = 0.85, tol: float = 1e-10,
     The product of each iterate serves both the next step and, for the start
     and the final iterate, the objective, so k iterations make k + 1 matvecs.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     _check_tol(tol)
+    _check_count("max_iter", max_iter)
     objective = Objective(P, spec or _DEFAULT_SPEC)
     x = uniform_vector(P.n)
     shift = (1.0 - alpha) * x
@@ -177,22 +189,19 @@ def pagerank(P: SparseStochasticMatrix, alpha: float = 0.85, tol: float = 1e-10,
     value, _ = objective.evaluate(x, Px=Px)
     history = [(0, value.total)]
     stop_reason = STOP_MAX_ITER
-    iterations = 0
     for k in range(1, max_iter + 1):
         x_next = Px
         x_next *= alpha
         x_next += shift
         delta = _l1_distance(x_next, x)
         x = x_next
-        iterations = k
         Px = P.matvec(x)
         if delta <= tol:
             stop_reason = STOP_TOLERANCE
             break
-    if iterations:
-        value, _ = objective.evaluate(x, Px=Px)
-        history.append((iterations, value.total))
-    return SolveReport(x, history, iterations, stop_reason, value)
+    value, _ = objective.evaluate(x, Px=Px)
+    history.append((k, value.total))
+    return SolveReport(x, history, k, stop_reason, value)
 
 
 def _l1_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -248,8 +257,9 @@ def dominant_eigenvector(P: SparseStochasticMatrix, tol: float = 1e-6) -> np.nda
     the last term, then the average, is returned if it meets tol, otherwise
     the next round restarts from the average.
 
-    The first round has 64 terms.  Once it misses tol, cyclic_period(P)
-    gives d, the lcm of the periods of P's closed classes (no matvec), and
+    The first round has 64 terms.  After each round that misses tol,
+    cyclic_period(P) gives d, the lcm of the periods of P's closed classes
+    (no matvec; one pass on P's first call, which P keeps), and
     each next round has 2K terms cut down to a multiple of d where d <= 2K,
     capped at ceil(2 / tol).  P's eigenvalues of modulus 1 are d-th roots
     of unity and semisimple, so an average over a multiple of d terms
@@ -275,7 +285,6 @@ def dominant_eigenvector(P: SparseStochasticMatrix, tol: float = 1e-6) -> np.nda
     cap = max(1, math.ceil(2.0 / tol))
     x = uniform_vector(P.n)
     K = min(_FIRST_ROUND_TERMS, cap)
-    period = None
     while True:
         average, last = _cesaro_round(P, x, K, tol)
         if average is None:
@@ -287,8 +296,7 @@ def dominant_eigenvector(P: SparseStochasticMatrix, tol: float = 1e-6) -> np.nda
             return last
         if _l1_distance(following, x) / K <= tol:
             return average
-        if period is None:
-            period = cyclic_period(P)
+        period = cyclic_period(P)
         K *= 2
         if period <= K:
             K -= K % period
@@ -311,6 +319,7 @@ def regularized_power_method(P: SparseStochasticMatrix, spec: UncertaintySpec,
     k + 1 matvecs.  The mixing writes no product: it scales P x_{k-1} into a
     new array and adds w e as the scalar w e_0, which every entry of w e is.
     """
+    _check_count("max_iter", max_iter)
     objective = Objective(P, spec)
     e = uniform_vector(P.n)
     x_prev = e
@@ -703,30 +712,25 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
                        descent.best_value, descent.lower)
 
 
-def _simplex_lattice_blocks(n: int, m: int, block_rows: int = 200_000):
-    """Yield blocks of all lattice points (k_1/m, ..., k_n/m), sum k_i = m."""
+def _simplex_lattice_blocks(n: int, m: int):
+    """Yield blocks of all lattice points (k_1/m, ..., k_n/m), sum k_i = m,
+    in lexicographic order, each block at least _LATTICE_BLOCK_ROWS rows
+    but the last."""
     if n == 1:
         yield np.ones((1, 1))
         return
-
-    def compositions(parts, budget):
-        if parts == 0:
-            yield ()
-            return
-        for k in range(budget + 1):
-            for rest in compositions(parts - 1, budget - k):
-                yield (k,) + rest
-
     rows = []
-    for head in compositions(n - 2, m):
+    for head in itertools.product(range(m + 1), repeat=n - 2):
         rem = m - sum(head)
+        if rem < 0:
+            continue
         k = np.arange(rem + 1)
         block = np.empty((rem + 1, n))
         block[:, :n - 2] = np.asarray(head, dtype=float)
         block[:, n - 2] = k
         block[:, n - 1] = rem - k
         rows.append(block)
-        if sum(b.shape[0] for b in rows) >= block_rows:
+        if sum(b.shape[0] for b in rows) >= _LATTICE_BLOCK_ROWS:
             yield np.vstack(rows) / m
             rows = []
     if rows:

@@ -253,10 +253,12 @@ def _poisson_gmres_loop(P, rhs, tol):
                 h.append(float(w @ b))
                 w -= h[-1] * b
             h_next = math.sqrt(float(w @ w))
+            rounding = np.finfo(float).eps * math.hypot(*h, h_next)
+            closed = h_next <= rounding
             for i, (c, s) in enumerate(rotations):
                 h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
             d = math.hypot(h[k], h_next)
-            if d == 0.0:
+            if d <= rounding:
                 return None
             c, s = h[k] / d, h_next / d
             h[k] = d
@@ -267,14 +269,14 @@ def _poisson_gmres_loop(P, rhs, tol):
             g.append(-s * gamma)
             r *= s * s
             r -= (c * gamma / d) * w
-            if h_next == 0.0 or k == m - 1 or float(np.abs(r).max()) <= tol:
+            if closed or k == m - 1 or float(np.abs(r).max()) <= tol:
                 break
             basis.append(w / h_next)
         y = [0.0] * len(columns)
         for i in reversed(range(len(y))):
             y[i] = (g[i] - sum(columns[j][i] * y[j] for j in range(i + 1, len(y)))) / columns[i][i]
             v += y[i] * basis[i]
-        if h_next == 0.0 and float(np.abs(r).max()) > tol:
+        if closed and float(np.abs(r).max()) > tol:
             return None
     return v, products
 

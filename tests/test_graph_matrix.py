@@ -616,7 +616,7 @@ class TestCyclicPeriod:
 
 
 class TestStructureKept:
-    """is_irreducible and cyclic_period keep their answers on the matrix."""
+    """is_irreducible and cyclic_period read one pair, kept on the matrix."""
 
     @staticmethod
     def _counted_passes(monkeypatch):
@@ -643,11 +643,24 @@ class TestStructureKept:
         order = [first] + [name for name in calls if name != first]
         got = {name: {calls[name]() for _ in range(3)} for name in order}
         assert got == {"nominal": {want.tobytes()}, "robust l1g1": {STOP_NOMINAL}}
-        # cyclic_period's pass tells is_irreducible's answer too, not the reverse
-        assert len(passes) == (1 if first == "nominal" else 2)
+        assert len(passes) == 1
         assert graph_matrix.is_irreducible(P) is True
         assert graph_matrix.cyclic_period(P) == 39
-        assert len(passes) == (1 if first == "nominal" else 2)
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("graph, want", [("model2 side 20", (True, 39)),
+                                             ("seven-node", (False, 2))])
+    @pytest.mark.parametrize("period_first", [False, True])
+    def test_one_pass_whichever_is_asked_first(self, monkeypatch, graph, want,
+                                               period_first):
+        # the seven-node graph is reducible; its closed class {5, 6} has period 2
+        passes = self._counted_passes(monkeypatch)
+        P = (generate(GridModelSpec(20, ModelVariant.MODEL2)) if graph == "model2 side 20"
+             else from_edge_list(edge_list(SEVEN_NODE_EDGES, 7)))
+        if period_first:
+            assert graph_matrix.cyclic_period(P) == want[1]
+        assert (graph_matrix.is_irreducible(P), graph_matrix.cyclic_period(P)) == want
+        assert len(passes) == 1
 
     def test_a_reducible_web_graph_takes_its_period_once(self, monkeypatch):
         passes = self._counted_passes(monkeypatch)

@@ -114,8 +114,9 @@ class MatvecBudget:
     """A matrix that refuses matvecs beyond a fixed budget.
 
     It reads every other attribute off the inner matrix, among them the link
-    arrays and the kept period that graph_matrix.cyclic_period reads, so
-    that a budgeted solve takes the period as the plain matrix would.
+    arrays and the kept (irreducible, period) pair that
+    graph_matrix.cyclic_period reads, so that a budgeted solve takes the
+    period as the plain matrix would.
     """
 
     def __init__(self, inner, budget):
@@ -647,16 +648,16 @@ class TestBarzilaiBorwein:
         assert steps == [steps[0] / 2.0 ** k for k in range(5)]
 
     @pytest.mark.parametrize("pair", L2_PAIRS)
-    def test_never_above_x0_or_the_uniform_point(self, pair):
+    def test_never_above_x0(self, pair):
+        # the descent evaluates only x0, so x0 is its one promised bound; the
+        # default start's bound is test_the_default_start_is_never_above_the_uniform_point's
         P, _, spec = _web_inv_degree(5, pair)
-        e = uniform_vector(P.n)
-        for x0 in (np.random.default_rng(23).dirichlet(np.ones(P.n)), e):
+        for x0 in (np.random.default_rng(23).dirichlet(np.ones(P.n)), uniform_vector(P.n)):
             for budget in (1, 5, 50):
                 config = SolverConfig(md_epochs=1, md_iters_per_epoch=budget)
                 report = mirror_descent_minimize(P, spec, config, x0=x0)
                 assert report.iterations_used <= budget
                 assert report.objective.total <= phi_value(P, x0, spec)
-                assert report.objective.total <= phi_value(P, e, spec)
 
     def test_steps_are_capped_where_the_quotient_is_larger(self, monkeypatch):
         # on this solve the quotient passes the cap, and no step's exponents
@@ -1066,10 +1067,15 @@ class TestPoissonGmres:
             assert v.tobytes() == want_v.tobytes()
 
     def test_declines_where_the_loop_declines(self, monkeypatch):
-        cycle = from_edge_list(edge_list([(0, 1), (1, 2), (2, 3), (3, 0)], 4))
+        cycle3, cycle4 = (from_edge_list(edge_list([(i, (i + 1) % size) for i in range(size)],
+                                                   size)) for size in (3, 4))
         alternating = np.array([0.25, -0.25, 0.25, -0.25])
         pair = from_edge_list(edge_list([(0, 1), (1, 0)], 2))
-        for P, rhs, tol in ((cycle, alternating, 0.0), (pair, np.ones(2), 1e-3)):
+        for P, rhs, tol in ((cycle4, alternating, 0.0), (pair, np.ones(2), 1e-3),
+                            # a component along the stationary vector
+                            (cycle3, np.array([1.0, 0.0, 0.0]), 1e-9),
+                            (cycle4, np.array([1.0, 0.0, 0.0, 0.0]), 1e-9),
+                            (cycle3, np.array([1.0, -0.5, -0.499]), 1e-9)):
             got = solvers._poisson_gmres(P, rhs, tol)
             want = _poisson_gmres_loop(P, rhs, tol)
             assert (got is None) == (want is None)
@@ -1293,6 +1299,19 @@ class TestGridOracle:
         P = from_edge_list(edge_list([(0, 0)], 1))
         assert grid_oracle_minimize(P, L2L2, 1 / 10).tolist() == [1.0]
 
+    @pytest.mark.parametrize("block_rows", [7, solvers._LATTICE_BLOCK_ROWS])
+    @pytest.mark.parametrize("n, m", [(1, 5), (2, 1), (2, 9), (3, 12), (4, 15)])
+    def test_lattice_holds_each_point_once(self, monkeypatch, block_rows, n, m):
+        monkeypatch.setattr(solvers, "_LATTICE_BLOCK_ROWS", block_rows)
+        blocks = list(solvers._simplex_lattice_blocks(n, m))
+        assert all(len(block) >= block_rows for block in blocks[:-1])
+        X = np.vstack(blocks)
+        np.testing.assert_allclose(X.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        k = np.rint(X * m).astype(int)
+        points = {tuple(row) for row in k.tolist()}
+        assert len(points) == len(k) == math.comb(m + n - 1, n - 1)
+        assert all(sum(point) == m for point in points)
+
 
 class TestSuggestEpsilon:
     def test_web_scale_heuristic(self):
@@ -1329,6 +1348,19 @@ class TestSolverConfig:
         # a budget of no evaluation returned max_iter after 0 steps
         with pytest.raises(ValueError, match="md_"):
             SolverConfig(**knobs)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    @pytest.mark.parametrize("solve", [lambda P, k: pagerank(P, max_iter=k),
+                                       lambda P, k: regularized_power_method(P, L2L2, k)],
+                             ids=["pagerank", "regularized_power_method"])
+    def test_the_solvers_reject_its_max_iter_before_any_matvec(self, seven_node, solve,
+                                                               max_iter):
+        with pytest.raises(ValueError) as config_error:
+            SolverConfig(max_iter=max_iter)
+        with pytest.raises(ValueError) as solver_error:
+            solve(MatvecBudget(seven_node, 0), max_iter)
+        assert str(solver_error.value) == str(config_error.value)
+        assert str(solver_error.value) == f"max_iter must be >= 1, got {max_iter}"
 
     def test_accepts_the_benchmark_keywords(self):
         config = SolverConfig(alpha=0.85, tol=1e-10, max_iter=500, md_epochs=3,
