@@ -230,16 +230,68 @@ class TestDominantEigenvector:
         assert residual(chain, x, "l1") <= 0.02
 
     def test_first_checked_power_term_that_meets_tol(self, seven_node):
-        # P^31 e, the sixth checked term, is within tol; the first round's
-        # average, with residual 0.0223, is not
-        P = MatvecBudget(seven_node, 32)
+        # checks at matvecs 1, 2, 4 and 8, then where the rate of the last
+        # two predicts tol: 14, then 20, where P^19 e is within tol (the
+        # doubling checks returned P^31 e for 32 matvecs); the first
+        # round's average, with residual 0.0223, is not
+        P = MatvecBudget(seven_node, 20)
         x = dominant_eigenvector(P, tol=0.02)
         assert P.budget == 0
         assert residual(seven_node, x, "l1") <= 0.02
         term = uniform_vector(7)
-        for _ in range(31):
+        for _ in range(19):
             term = seven_node.matvec(term)
         np.testing.assert_array_equal(x, term)
+
+    def test_slow_mode_is_extrapolated_within_the_first_round(self):
+        # web-robust's graph: |lambda_2| = 0.99604, every other eigenvalue
+        # 0.574 or less.  The plain rounds take 960 matvecs
+        P = web_graph(2000, 14)
+        x = dominant_eigenvector(MatvecBudget(P, 64), tol=1e-3)
+        assert residual(P, x, "l1") <= 1e-3
+        assert x.min() >= 0 and abs(x.sum() - 1) <= 1e-9
+
+    def test_clipped_extrapolation_is_returned_on_the_simplex(self):
+        # node 0 keeps 0.99 of its mass, node 1 half, both feed the absorbing
+        # node 2.  Past node 1's fast mode the extrapolation removes node 0's
+        # slow one, and node 1, which it overshoots below 0, is clipped to 0:
+        # no power term is 0 there
+        P = SparseStochasticMatrix.from_dense([[0.99, 0, 0], [0, 0.5, 0], [0.01, 0.5, 1]])
+        x, count = count_matvecs(dominant_eigenvector, P, 1e-6)
+        assert count < count_matvecs(_restarted_cesaro_rounds, P, 1e-6)[1]
+        assert x[1] == 0.0
+        assert residual(P, x, "l1") <= 1e-6
+        assert x.min() >= 0 and abs(x.sum() - 1) <= 1e-9
+        np.testing.assert_allclose(x, [0, 0, 1], atol=1e-6)
+
+    def test_terms_that_never_decay_make_no_extrapolation(self):
+        # the period-3 chain's residuals are equal at every check (q = 1), so
+        # no rate: a round of 64 terms, then one of 126 (42 periods), each
+        # with its end check, and the second round's average, bit for bit
+        P = from_edge_list(edge_list(PERIOD_3_EDGES, 10))
+        x, count = count_matvecs(dominant_eigenvector, P, 1e-6)
+        assert count == 64 + 126
+        term = averaged_power(P, 64)
+        total = term.copy()
+        for _ in range(125):
+            term = P.matvec(term)
+            total += term
+        assert x.tobytes() == (total / 126).tobytes()
+
+    def test_zero_residual_stops_at_the_first_check(self):
+        # P = I: the first step is exactly 0, so no log of it is taken
+        P = MatvecBudget(SparseStochasticMatrix.from_dense(np.eye(4)), 1)
+        np.testing.assert_array_equal(dominant_eigenvector(P, 1e-10), uniform_vector(4))
+        assert P.budget == 0
+
+    def test_decay_rate_only_in_the_open_unit_interval(self):
+        below_one = 1.0 - 2.0 ** -53         # the largest float below 1
+        assert solvers._decay_rate(1.0, below_one, 1) == below_one
+        # its fourth root rounds to 1.0, where q / (1 - q) would divide by 0
+        assert solvers._decay_rate(1.0, below_one, 4) is None
+        assert solvers._decay_rate(1.4, 1.4, 2) is None
+        assert solvers._decay_rate(1.0, 1.0 + 2.0 ** -52, 1) is None
+        assert solvers._decay_rate(0.5, 0.125, 2) == 0.5
 
     @pytest.mark.parametrize("side, budget", [(10, 200), (20, 250), (60, 320)])
     def test_periodic_grid_meets_tol_within_whole_period_rounds(self, side, budget):
@@ -253,22 +305,23 @@ class TestDominantEigenvector:
             assert residual(P, x, "l1") <= tol
             assert np.abs(x - model2_exact_scores(side)).sum() <= 1e-9
 
-    @pytest.mark.parametrize("graph, tol, plain_count", [
-        ("seven-node", 1e-4, 128), ("seven-node", 1e-10, 448),
-        ("model1", 1e-10, 704), ("web-14", 1e-3, 960),
+    @pytest.mark.parametrize("graph, tol, pinned_count", [
+        ("seven-node", 1e-4, 33), ("seven-node", 1e-10, 132),
+        ("model1", 1e-10, 685), ("web-14", 1e-3, 53),
     ])
     def test_period_dividing_64_keeps_the_doubling_rounds_bit_for_bit(
-            self, seven_node, monkeypatch, graph, tol, plain_count):
+            self, seven_node, monkeypatch, graph, tol, pinned_count):
         # periods 2 (the seven-node graph's cycle {5, 6}) and 1 divide every
         # round length, so the rounds are those of plain doubling, the solve
-        # with the period taken as 1; plain_count is their matvec count
+        # with the period taken as 1; pinned_count is their matvec count
+        # (128, 448, 704 and 960 with checks at powers of two only)
         P = {"seven-node": seven_node,
              "model1": generate(GridModelSpec(30, ModelVariant.MODEL1)),
              "web-14": web_graph(2000, 14)}[graph]
         got, count = count_matvecs(dominant_eigenvector, P, tol)
         monkeypatch.setattr(solvers, "cyclic_period", lambda P: 1)
         want, want_count = count_matvecs(dominant_eigenvector, P, tol)
-        assert count == want_count == plain_count
+        assert count == want_count == pinned_count
         assert got.tobytes() == want.tobytes()
 
     def test_first_round_that_meets_tol_runs_no_period_pass(self, monkeypatch):
@@ -284,27 +337,34 @@ class TestDominantEigenvector:
         ("seven-node", (0.5, 0.02, 1e-4, 1e-6, 1e-10)),
         ("model1", (1e-4, 1e-10)),
         ("period-3", (0.5, 0.02, 1e-6)),
+        ("web-14", (1e-3, 1e-8)),
+        ("model2", (1e-8, 1e-10)),
     ])
     def test_never_more_matvecs_than_the_plain_rounds(self, seven_node, graph, tols):
         P = {"seven-node": seven_node,
              "model1": generate(GridModelSpec(30, ModelVariant.MODEL1)),
-             "period-3": from_edge_list(edge_list(PERIOD_3_EDGES, 10))}[graph]
+             "period-3": from_edge_list(edge_list(PERIOD_3_EDGES, 10)),
+             "web-14": web_graph(2000, 14),
+             "model2": generate(GridModelSpec(20, ModelVariant.MODEL2))}[graph]
         for tol in tols:
             _, plain_count = count_matvecs(_restarted_cesaro_rounds, P, tol)
             x, count = count_matvecs(dominant_eigenvector, P, tol)
             assert count <= plain_count
             assert residual(P, x, "l1") <= tol
 
-    @pytest.mark.parametrize("gap, plain_count",
-                             [(1e-4, 131_008), (1e-5, 524_224), (1e-6, 64)])
-    def test_weakly_linked_clusters_meet_tol_within_the_plain_rounds(self, gap, plain_count):
-        # plain_count is what _restarted_cesaro_rounds makes at tol 1e-6, fixed
-        # here because it takes seconds to recount; at gap 1e-6 the uniform
-        # start's residual is already gap/2, within tol
+    @pytest.mark.parametrize("gap", [1e-4, 1e-5, 1e-6])
+    def test_weakly_linked_clusters_meet_tol_within_the_plain_rounds(self, gap):
+        # _restarted_cesaro_rounds makes 131 008 (gap 1e-4) and 524 224
+        # (1e-5) matvecs at tol 1e-6, as the terms decay at 1 - gap; one
+        # extrapolation removes that mode.  At gap 1e-6 the uniform start's
+        # residual is already gap/2, within tol
         P = two_clusters(gap)
-        budget = MatvecBudget(P, plain_count)
-        x = dominant_eigenvector(budget, tol=1e-6)
+        x = dominant_eigenvector(MatvecBudget(P, 64), tol=1e-6)
         assert residual(P, x, "l1") <= 1e-6
+        # the residual bounds the distance to the stationary vector, 3/4 of
+        # the mass on the first cluster, by about residual / gap
+        stationary = np.repeat([3 / 16, 1 / 16], 4)
+        assert np.abs(x - stationary).sum() <= 1e-6 / gap
 
     @pytest.mark.parametrize("tol", [2.0, 3.0])
     def test_tol_of_two_or_more_returns_the_uniform_vector(self, seven_node, tol):
