@@ -273,7 +273,7 @@ def cmd_stress(args, out) -> int:
     realized, all_valid = perturbation.sampled_residuals(P, x, spec, set_name,
                                                          args.samples, args.seed)
     bound = phi(P, x, spec).total
-    max_realized = max(realized) if realized else 0.0
+    max_realized = max(realized)
     doc = {
         "command": "stress",
         "config": _config_dict(args),
@@ -281,7 +281,7 @@ def cmd_stress(args, out) -> int:
         "samples": args.samples,
         "upper_bound": bound,
         "max_realized": max_realized,
-        "mean_realized": float(np.mean(realized)) if realized else 0.0,
+        "mean_realized": float(np.mean(realized)),
         "bound_satisfied": bool(max_realized <= bound + 1e-9),
         "all_samples_feasible": all_valid,
     }

@@ -30,16 +30,22 @@ them.  g1 and g2 start at k = 32; an Objective starts each search at the
 candidate count of its last one, grown by a quarter (see _Probe), so along
 a descent one probe and one sort of about that many entries find them.
 
-:class:`Objective` is the one place where phi and its subgradient are
-computed.  Built once per (P, spec), it caches the weights c and their mass
-spec.penalty_mass(n); one evaluation costs one P.matvec (none when the
-caller hands in P x) and one penalty evaluation, plus one P.rmatvec and the
-penalty's dual vector when the subgradient is asked for.  It computes the
-residual, its norm and the subgradient in place, in the product it makes
-and in the arrays that the rmatvec and the penalty return: one evaluation
-with its subgradient peaks at 2 to 5 n-vectors, where a new array for each
-step peaked at 7.  phi, phi_value and subgradient_phi are thin calls into
-it, and the solvers hold one for the length of a solve.
+:class:`Objective` is the one place where phi, its subgradient and every
+certified lower bound are formed.  Built once per (P, spec), it caches the
+weights c and their mass spec.penalty_mass(n); one evaluation costs one
+P.matvec (none when the caller hands in P x) and one penalty evaluation,
+plus one P.rmatvec and the penalty's dual vector when the subgradient is
+asked for.  The subgradient is Objective.dual_vector(u, z) =
+(P - I)^T u + eps z for the residual's dual vector u and the penalty's z,
+and the solvers' certificates take their bounds from the same method: by
+weak duality its least entry bounds min phi on the simplex for every u in
+the residual norm's dual ball and z in the penalty's dual set.  The
+residual, its norm and the subgradient are formed in place, in the product
+the evaluation makes and in the arrays that the rmatvec and the penalty
+return: one evaluation with its subgradient peaks at 2 to 5 n-vectors,
+where a new array for each step peaked at 7.  phi, phi_value and
+subgradient_phi are thin calls into it, and the solvers hold one for the
+length of a solve.
 """
 
 from __future__ import annotations
@@ -136,13 +142,17 @@ def _check_weights(c: np.ndarray) -> np.ndarray:
     return c
 
 
+def _check_vector(x: np.ndarray) -> np.ndarray:
+    """x as a finite 1-d float array (else InputError, a ValueError)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or not np.isfinite(x).all():
+        raise InputError(f"x must be finite and 1-d, got shape {x.shape}")
+    return x
+
+
 def _check_penalty_args(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x as a finite 1-d float array, and finite weights c > 0 of its shape."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"x must be 1-d, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
+    x = _check_vector(x)
     c = _check_weights(c)
     if c.shape != x.shape:
         raise ValueError(f"weights have shape {c.shape}, expected {x.shape}")
@@ -252,8 +262,11 @@ def box_fits(mass: float) -> bool:
 
 
 def _mass(c: np.ndarray, p: int) -> float:
-    """sum_j c_j^p, the mass that g_p compares with 1 over the support of x."""
-    return float(np.sum(c if p == 1 else c * c))
+    """sum_j c_j^p, the mass that g_p compares with 1 over the support of x:
+    inf, silently, where it passes the float range (c_j past about 1e154
+    for p = 2), which every test of it reads as above 1."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(c if p == 1 else c * c))
 
 
 def _support_mass(a: np.ndarray, c: np.ndarray, p: int,
@@ -290,16 +303,26 @@ def _box(x: np.ndarray, a: np.ndarray, c: np.ndarray, support: np.ndarray | None
     return value, z
 
 
-def _boxed(c: np.ndarray, p: int, order: np.ndarray) -> np.ndarray:
+def _boxed(c: np.ndarray, p: int, order: np.ndarray, mass: float) -> np.ndarray:
     """boxed[b - 1], the c^p mass of the last b entries of order, summed
-    one at a time from its end (np.cumsum is a sequential sum)."""
+    one at a time from its end (np.cumsum is a sequential sum).
+
+    mass is the c^p mass of a set that holds order.  Up to 1e300 no c_j^p
+    and no partial mass can overflow, in any order of summation; past it
+    (c_j past about 1e154 for p = 2), the masses that pass the float range
+    are inf, silently: they lie past the first mass to reach 1, the last
+    one read.
+    """
+    if mass > 1e300:
+        with np.errstate(over="ignore"):
+            return _boxed(c, p, order, 1.0)
     w = c[order]
     if p == 2:
         w = w * w
     return np.add.accumulate(w[::-1])
 
 
-def _candidates(key: np.ndarray, c: np.ndarray, p: int,
+def _candidates(key: np.ndarray, c: np.ndarray, p: int, mass: float,
                 probe: _Probe | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The candidates of key >= 0, and boxed[b - 1], the c^p mass of their last b.
 
@@ -314,16 +337,18 @@ def _candidates(key: np.ndarray, c: np.ndarray, p: int,
     or inf among the largest, with ties past n / _PROBE_GROWTH entries, and
     when no top of n / _PROBE_GROWTH entries reaches 1.  Whatever the first
     k, the candidates, and so every bit computed from them, are the same.
+    mass is the c^p mass over the entries with key > 0, which hold every
+    top (see _boxed).
     """
     for top in _tops(key, _FIRST_PROBE if probe is None else probe.k):
         order = top[_stable_argsort(key[top])]
-        boxed = _boxed(c, p, order)
+        boxed = _boxed(c, p, order, mass)
         if boxed[-1] >= 1.0:
             break
     else:
         idx = np.flatnonzero(key > 0)
         order = idx[np.argsort(key[idx], kind="stable")]
-        boxed = _boxed(c, p, order)
+        boxed = _boxed(c, p, order, mass)
     j = int(boxed.searchsorted(1.0))
     cand = order[max(order.size - j - 1, 0):]
     if probe is not None:
@@ -352,7 +377,7 @@ def _g1_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
     support, mass = _support_mass(a, c, 1, mass)
     if box_fits(mass):
         return _box(x, a, c, support, dual)
-    cand, boxed = _candidates(a, c, 1, probe)
+    cand, boxed = _candidates(a, c, 1, mass, probe)
     fill = c[cand]                             # ascending: fill[0] is filled last
     fill[0] = min(fill[0], 1.0 - (boxed[-1] - fill[0]))
     value = float(np.add.accumulate((fill * a[cand])[::-1])[-1])
@@ -409,7 +434,7 @@ def _g2_with_dual(x: np.ndarray, c: np.ndarray, mass: float | None = None,
     if box_fits(mass):
         return _box(x, a, c, support, dual)
     bp = a / c
-    cand, boxed = _candidates(bp, c, 2, probe)
+    cand, boxed = _candidates(bp, c, 2, mass, probe)
     a_c, c_c, bp_c = a[cand], c[cand], bp[cand]
     sq = np.multiply(a, a, out=bp)             # bp's buffer, and later z's
     sq[cand] = 0.0
@@ -544,16 +569,17 @@ def g_oracle(x: np.ndarray, c: np.ndarray, kind: str) -> float:
 class Objective:
     """phi(x) = ||P x - x|| + eps g(x) and one subgradient, for one (P, spec).
 
-    Residual part of the subgradient: (P - I)^T sign(Px - x) for the l1 norm,
-    or (P - I)^T (Px - x)/||Px - x||_2 for l2 (zero when Px = x).  Penalty
-    part: eps times the optimizing dual vector of the penalty norm.
+    The subgradient is dual_vector(u, z) = (P - I)^T u + eps z, with u the
+    residual's dual vector, sign(Px - x) for the l1 norm or
+    (Px - x)/||Px - x||_2 for l2 (0 when Px = x), and z the penalty norm's
+    optimizing dual vector.
 
     Each evaluation works in arrays of its own: the residual overwrites the
-    product P x that it makes (never one the caller hands in), its l1 norm,
-    sign(r) or r / ||r||_2 and (P - I)^T u are taken in place, and eps times
-    the penalty's dual vector is added into (P - I)^T u, the subgradient it
-    returns.  The g1 and g2 searches for their candidates start where the
-    last one ended (see _Probe), which changes their work but no bit.
+    product P x that it makes (never one the caller hands in), and its l1
+    norm and sign(r) or r / ||r||_2 are taken in place; dual_vector forms
+    the subgradient in the rmatvec's array.  The g1 and g2 searches for
+    their candidates start where the last one ended (see _Probe), which
+    changes their work but no bit.
     """
 
     def __init__(self, P: SparseStochasticMatrix, spec: UncertaintySpec):
@@ -582,8 +608,9 @@ class Objective:
 
     def _residual(self, x: np.ndarray, Px: np.ndarray | None,
                   dual: bool) -> tuple[float, np.ndarray | None]:
-        """||P x - x||, and (P - I)^T u for its dual vector u when dual (else
-        None), a new array."""
+        """||P x - x||, and its dual vector u when dual (else None): sign(r)
+        for l1, r / ||r||_2 for l2, None for 0 when P x = x there.  u
+        overwrites the residual r."""
         P = self.P
         if Px is None:
             r = P.matvec(x)             # rejects a vector of the wrong shape
@@ -595,17 +622,26 @@ class Objective:
             r = np.subtract(Px, x)
         if self._l1_residual:
             u = np.sign(r) if dual else None
-            norm = float(np.abs(r, out=r).sum())
-        else:
-            norm = float(np.linalg.norm(r))
-            u = np.divide(r, norm, out=r) if dual and norm != 0.0 else None
-        if not dual:
-            return norm, None
-        if u is None:                   # P x = x under the l2 norm
-            return norm, np.zeros_like(x)
-        g = P.rmatvec(u)
-        g -= u
-        return norm, g
+            return float(np.abs(r, out=r).sum()), u
+        norm = float(np.linalg.norm(r))
+        return norm, np.divide(r, norm, out=r) if dual and norm != 0.0 else None
+
+    def dual_vector(self, u: np.ndarray | None, z: np.ndarray) -> np.ndarray:
+        """(P - I)^T u + eps z, in the rmatvec's array, with z scaled in place.
+
+        u None stands for 0: no rmatvec, and eps z is returned.  For u in
+        the residual norm's dual ball (l_inf for l1g1, l_2 otherwise) and z
+        in the penalty's dual set, phi(y) >= this vector . y >= its least
+        entry for every y on the simplex: the one vector behind the
+        subgradient and every certified lower bound.
+        """
+        z *= self.spec.epsilon
+        if u is None:
+            return z
+        h = self.P.rmatvec(u)
+        h -= u
+        h += z
+        return h
 
     def evaluate(self, x: np.ndarray, with_subgradient: bool = False, *,
                  Px: np.ndarray | None = None
@@ -617,16 +653,13 @@ class Objective:
         never written.  x and Px must both have shape (n,).
         """
         x = np.asarray(x, dtype=float)
-        residual_term, g = self._residual(x, Px, with_subgradient)
+        residual_term, u = self._residual(x, Px, with_subgradient)
         penalty_value, z = self._penalty_with_dual(x, with_subgradient)
-        eps = self.spec.epsilon
-        penalty_term = eps * penalty_value
+        penalty_term = self.spec.epsilon * penalty_value
         value = ObjectiveValue(residual_term, penalty_term, residual_term + penalty_term)
         if not with_subgradient:
             return value, None
-        z *= eps
-        g += z
-        return value, g
+        return value, self.dual_vector(u, z)
 
 
 def phi(P: SparseStochasticMatrix, x: np.ndarray, spec: UncertaintySpec) -> ObjectiveValue:
@@ -639,5 +672,9 @@ def phi_value(P: SparseStochasticMatrix, x: np.ndarray, spec: UncertaintySpec) -
 
 
 def subgradient_phi(P: SparseStochasticMatrix, x: np.ndarray, spec: UncertaintySpec) -> np.ndarray:
-    """One valid subgradient of phi at x (see :class:`Objective`)."""
-    return Objective(P, spec).evaluate(x, with_subgradient=True)[1]
+    """One valid subgradient of phi at x (see :class:`Objective`).
+
+    x must be finite and of shape (n,) (else InputError), but may lie off
+    the simplex.
+    """
+    return Objective(P, spec).evaluate(_check_vector(x), with_subgradient=True)[1]

@@ -339,7 +339,7 @@ def empirical_phi_lower_bound(P: SparseStochasticMatrix, x: np.ndarray,
                          f"worst case lies outside set {set_name!r}")
     x = np.asarray(x, dtype=float)
     realized, _ = sampled_residuals(P, x, spec, set_name, n_samples, rng_seed)
-    best = max([0.0, *realized])
+    best = max(realized)
     if include_rank1:
         xi_star = worst_case_rank1(P, x, spec.epsilon)
         best = max(best, float(np.linalg.norm(P.matvec(x) - x + xi_star.apply(x))))

@@ -130,8 +130,10 @@ class SolveReport:
 
     lower_bound is a certified lower bound on min phi over the simplex, so
     objective.total - lower_bound bounds how far the returned objective is
-    from the optimum.  Mirror descent sets it on every return; the other
-    solvers leave it None.
+    from the optimum.  Mirror descent sets it on every return, always the
+    least entry of one vector, Objective.dual_vector(u, z) =
+    (P - I)^T u + eps z, for some u in the residual norm's dual ball and z
+    in the penalty's dual set; the other solvers leave it None.
 
     stop_reason nominal is mirror descent's on l1g1 when it returns the
     certified dominant eigenvector and runs no descent: phi_history then
@@ -514,20 +516,18 @@ def _barzilai_borwein(descent: _Descent, budget: int) -> str:
     return STOP_MAX_ITER
 
 
-def _certified(P: SparseStochasticMatrix, objective: Objective, x: np.ndarray,
-               value: ObjectiveValue, u: np.ndarray, z: np.ndarray, iterations: int,
+def _certified(objective: Objective, x: np.ndarray, value: ObjectiveValue,
+               u: np.ndarray, z: np.ndarray, iterations: int,
                reason: str) -> SolveReport | None:
     """x, whose phi is value, certified as l1g1's robust optimum, or None.
 
     For u in the unit l_inf ball and z in g1's dual set, phi(y) >=
-    ((P - I)^T u + eps z) . y on the simplex, so D = min_j of that vector is
-    a lower bound on min phi, for every P, at one rmatvec.  Where
-    phi(x) - D <= _GAP_TOL phi(x), x is returned with lower_bound D.
+    objective.dual_vector(u, z) . y on the simplex, so D, the least entry of
+    that vector, (P - I)^T u + eps z, is a lower bound on min phi, for every
+    P, at one rmatvec.  Where phi(x) - D <= _GAP_TOL phi(x), x is returned
+    with lower_bound D.  z is scaled in place.
     """
-    h = P.rmatvec(u)
-    h -= u
-    h += objective.spec.epsilon * z
-    lower = float(h.min())
+    lower = float(objective.dual_vector(u, z).min())
     if value.total - lower > _GAP_TOL * value.total:
         return None
     return SolveReport(x, [(0, value.total)], iterations, reason, value, lower)
@@ -623,7 +623,7 @@ def _nominal_certificate(P: SparseStochasticMatrix, objective: Objective,
 
     At a stationary x (P x = x), with penalty value pen and g1 dual z
     there, u = eps v with (P - I)^T v = pen 1 - z, the Poisson equation of
-    the chain, makes _certified's vector eps pen 1 = phi(x) 1: if
+    the chain, makes objective.dual_vector(u, z) = eps pen 1 = phi(x) 1: if
     ||u||_inf <= 1, D = phi(x) and x is optimal.  v is fixed up to a
     constant, and half the range of v is the least ||.||_inf of one, so
     this holds exactly for eps up to eps_c = 2 / (max v - min v).
@@ -658,7 +658,7 @@ def _nominal_certificate(P: SparseStochasticMatrix, objective: Objective,
     u = eps * v
     if _max_abs(u) > 1.0:
         return None
-    return _certified(P, objective, x, value, u, z, products, STOP_NOMINAL)
+    return _certified(objective, x, value, u, z, products, STOP_NOMINAL)
 
 
 def _l1g1_lp(P: SparseStochasticMatrix, objective: Objective) -> SolveReport | None:
@@ -709,7 +709,7 @@ def _l1g1_lp(P: SparseStochasticMatrix, objective: Objective) -> SolveReport | N
     u = np.clip(-res.eqlin.marginals[:n], -1.0, 1.0)
     z = np.clip(-res.ineqlin.marginals / eps, 0.0, c)
     z /= max(1.0, float(z.sum()))
-    return _certified(P, objective, x, value, u, z, res.nit, STOP_LP)
+    return _certified(objective, x, value, u, z, res.nit, STOP_LP)
 
 
 def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
@@ -743,12 +743,15 @@ def mirror_descent_minimize(P: SparseStochasticMatrix, spec: UncertaintySpec,
 
     phi is convex and positively homogeneous, so every subgradient g taken
     anywhere satisfies phi(y) >= <g, y> for all y, and min_j g_j bounds phi
-    from below on the simplex.  The largest such bound over the subgradients
-    of the solve (at x0 and at every evaluation) is returned as
-    lower_bound; it costs one g.min() per evaluation.  The descent stops
-    with reason gap, before the first step or after any evaluation, once
-    best phi - lower_bound <= 1e-3 best phi (_GAP_TOL; phi is positive on
-    the simplex); otherwise the budget runs out with reason max_iter.
+    from below on the simplex.  Each g is Objective.dual_vector(u, z) for
+    the residual's and the penalty's dual vectors at its point, the vector
+    whose least entry the nominal and LP certificates read too.  The
+    largest such bound over the subgradients of the solve (at x0 and at
+    every evaluation) is returned as lower_bound; it costs one g.min() per
+    evaluation.  The descent stops with reason gap, before the first step
+    or after any evaluation, once best phi - lower_bound <= 1e-3 best phi
+    (_GAP_TOL; phi is positive on the simplex); otherwise the budget runs
+    out with reason max_iter.
 
     Unless x0 is given, descent starts from the stopped regularized-power
     iterate (cheap and already good), so the returned objective never exceeds

@@ -167,6 +167,16 @@ class TestRank:
         assert sum(scores[0] for scores in parse_csv_scores(captured.out).values()) == \
             pytest.approx(1.0, abs=1e-9)
 
+    def test_l2g2_weights_whose_squares_overflow(self, capsys):
+        # c_j = 1e160: the c^2 mass is inf, silently, and g2 is ||x||_2
+        code = main(["rank", "--model", "model2", "--n", "6", "--pair", "l2g2",
+                     "--epsilon", "1e-160", "--col-budget", "uniform:1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert sum(scores[0] for scores in parse_csv_scores(captured.out).values()) == \
+            pytest.approx(1.0, abs=1e-9)
+
 
 class TestCompare:
     def test_seven_node_nominal_vs_damped_and_robust(self, capsys, seven_node_file):

@@ -7,7 +7,7 @@ from robusteig import (NormPair, SolverConfig, SparseStochasticMatrix, Uncertain
                        g1, g2, g_oracle, mirror_descent_minimize, phi, phi_value,
                        subgradient_phi, uniform_vector)
 from robusteig import norms, solvers
-from robusteig.graph_matrix import out_degrees
+from robusteig.graph_matrix import InputError, edge_list, from_edge_list, out_degrees
 from robusteig.norms import (Objective, _g1_with_dual, _g2_with_dual, _stable_argsort,
                             box_fits)
 
@@ -204,6 +204,12 @@ class TestG2:
 
     def test_tiny_weights_reduce_to_weighted_l1(self):
         assert g2([3.0, 4.0], [0.1, 0.1]) == pytest.approx(0.7, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [1e155, 1e200])
+    def test_weights_whose_squares_overflow(self, c):
+        # c_j^2 is inf: the mass saturates silently, and g2 is ||x||_2
+        x = np.array([0.2, 0.3, 0.5])
+        assert g2(x, np.full(3, c)) == np.linalg.norm(x)
 
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -608,6 +614,50 @@ class TestObjective:
                 assert peak < 6.0
 
 
+def _random_chain(rng, n, dangling):
+    """A random column-stochastic P on n nodes; with dangling, node 0 and
+    perhaps others have no out-links and take the uniform repair."""
+    if not dangling:
+        A = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+        A[rng.integers(n, size=n), np.arange(n)] += 0.1   # no empty column
+        return SparseStochasticMatrix.from_dense(A / A.sum(axis=0))
+    edges = [(int(j), int(i)) for j in range(1, n) if rng.random() < 0.8
+             for i in rng.choice(n, int(rng.integers(1, n + 1)), replace=False)]
+    return from_edge_list(edge_list(edges, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(list(NormPair)),
+       st.sampled_from(["default", "scalar", "array"]), st.booleans())
+def test_any_dual_feasible_pair_bounds_phi(seed, pair, budgets, dangling):
+    # weak duality, for a (u, z) that no solver produced: phi(y) >=
+    # dual_vector(u, z) . y >= min dual_vector(u, z) on the simplex
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    P = _random_chain(rng, n, dangling)
+    eps = float(rng.choice([0.01, 0.5, 3.0]))
+    column_budgets = {"default": None, "scalar": float(rng.uniform(0.01, 2.0)),
+                      "array": rng.uniform(0.01, 2.0, n)}[budgets]
+    spec = UncertaintySpec(eps, pair, column_budgets)
+    if pair is NormPair.L1_G1:                           # u in the l_inf ball
+        u = rng.uniform(-1.0, 1.0, n)
+    else:                                                # u in the l_2 ball
+        u = rng.standard_normal(n)
+        u *= rng.random() / max(np.linalg.norm(u), 1e-300)
+    if pair is NormPair.L2_L2:                           # ||z||_2 <= 1
+        z = rng.standard_normal(n)
+        z *= rng.random() / max(np.linalg.norm(z), 1e-300)
+    else:                                                # |z_j| <= c_j, ||z||_p <= 1
+        z = rng.uniform(-1.0, 1.0, n) * spec.weights(n)
+        norm = np.abs(z).sum() if pair is NormPair.L1_G1 else np.linalg.norm(z)
+        z /= max(1.0, float(norm))
+    h = Objective(P, spec).dual_vector(u, z)
+    y = rng.dirichlet(np.ones(n) * float(rng.choice([0.1, 1.0])))
+    slack = 1e-12 * (1.0 + eps)
+    assert phi_value(P, y, spec) >= h @ y - slack
+    assert h @ y >= h.min() - slack
+
+
 class TestWarmProbe:
     """Objective's g1 and g2 searches start at the candidate count of the
     last one, grown by a quarter: less work, every bit the same."""
@@ -714,6 +764,15 @@ class TestSubgradientPhi:
         spec = UncertaintySpec(1.5, NormPair.L2_L2)
         g = subgradient_phi(P, np.array([1.0, 0.0]), spec)
         np.testing.assert_allclose(g, [1.5, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("pair", list(NormPair))
+    @pytest.mark.parametrize("x", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0],
+                                   [0.5, -np.inf, 0.5], [[1.0, 0.0, 0.0]]],
+                             ids=["nan", "inf", "minus-inf", "2-d"])
+    def test_non_finite_or_non_1d_x_rejected(self, pair, x):
+        P = SparseStochasticMatrix.from_dense(random_stochastic_dense(3, seed=10))
+        with pytest.raises(InputError):
+            subgradient_phi(P, np.array(x), UncertaintySpec(1.0, pair, 0.7))
 
     def test_l2l2_at_zero_takes_the_zero_subgradient(self, seven_node):
         # P 0 - 0 = 0 and ||0||_2 = 0: 0 is a subgradient of both norms there
